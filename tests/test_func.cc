@@ -336,5 +336,115 @@ TEST(CompileDeterminism, CompileTwiceByteEqual)
     }
 }
 
+/** 64-bit FNV-1a over every kernel's per-vault encodeProgram bytes. */
+u64
+programDigest(const CompiledPipeline &cp)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    for (const CompiledKernel &k : cp.kernels)
+        for (const auto &prog : k.perVault)
+            for (u8 byte : encodeProgram(prog)) {
+                h ^= byte;
+                h *= 0x100000001b3ull;
+            }
+    return h;
+}
+
+/**
+ * Golden program digests: the backend (register allocation, spilling,
+ * memory-order edges, reordering) must emit exactly these bytes for the
+ * ten benchmarks at 64x32 on the tiny configuration.  Any change here
+ * moves simulated cycles, so an intended one must re-pin the table and
+ * explain the drift.  @p golden is in allBenchmarkNames() order.
+ * Returns the number of benchmarks whose compile spilled registers.
+ */
+int
+expectGoldenDigests(const HardwareConfig &cfg, const CompilerOptions &opts,
+                    const std::vector<u64> &golden)
+{
+    std::vector<std::string> names = allBenchmarkNames();
+    EXPECT_EQ(names.size(), golden.size());
+    int spilled = 0;
+    for (size_t i = 0; i < names.size() && i < golden.size(); ++i) {
+        BenchmarkApp app = makeBenchmark(names[i], 64, 32);
+        CompiledPipeline cp = compilePipeline(app.def, cfg, opts);
+        u64 d = programDigest(cp);
+        EXPECT_EQ(d, golden[i]) << names[i] << ": 0x" << std::hex << d;
+        u32 regs = 0;
+        for (const CompiledKernel &k : cp.kernels)
+            regs += k.backend.spilledRegs;
+        spilled += regs > 0;
+    }
+    return spilled;
+}
+
+TEST(CompileDeterminism, GoldenDigestsOpt)
+{
+    expectGoldenDigests(HardwareConfig::tiny(), CompilerOptions::opt(),
+                        {0x4960b7dc86631f85ull, 0x51f1b920f4841db2ull,
+                         0xd3c3b7a0cb779c9bull, 0x52f2920d3e8e10bbull,
+                         0xf8885bfcb7332f25ull, 0x2551315e3764f91bull,
+                         0x13490a3f48285decull, 0x85d0a620a771b58aull,
+                         0x956e9472ea68298full, 0xf3ac4ebb1394190bull});
+}
+
+TEST(CompileDeterminism, GoldenDigestsBaseline1)
+{
+    expectGoldenDigests(HardwareConfig::tiny(),
+                        CompilerOptions::baseline1(),
+                        {0x53197132e9e9fd05ull, 0xf4cd56be3ff8637eull,
+                         0x34594daee4e69c31ull, 0xdbaee4937b2095ebull,
+                         0x09cd30ea4da2e035ull, 0x56a2a061def547b1ull,
+                         0x49d540ce95e5fc88ull, 0x138f7fe66fbfffabull,
+                         0x6758b18041057297ull, 0x3f99a2428b7159d0ull});
+}
+
+TEST(CompileDeterminism, GoldenDigestsBaseline2)
+{
+    expectGoldenDigests(HardwareConfig::tiny(),
+                        CompilerOptions::baseline2(),
+                        {0x428172139659cc95ull, 0x7c63afd018d5a622ull,
+                         0x4b623e034b0fdaf9ull, 0xf3db85dd28d7c4b7ull,
+                         0xc1ce7838e11184e5ull, 0xe1ac5c1207ea8631ull,
+                         0xe5bc9c4e12646654ull, 0xa372fa6745e373ebull,
+                         0xdde0b651926ee3abull, 0xfe680a46e7a828ecull});
+}
+
+TEST(CompileDeterminism, GoldenDigestsBaseline3)
+{
+    expectGoldenDigests(HardwareConfig::tiny(),
+                        CompilerOptions::baseline3(),
+                        {0xbd636867e9b8f095ull, 0x29e1db9fb5b6a2baull,
+                         0xdb0408825c1c5ba7ull, 0x1cc767f59e0517c3ull,
+                         0x5eb1dd4a2d18a4d5ull, 0x6b7aac8244bea4afull,
+                         0x996aa03ef3b2567cull, 0xdb40d3efff255662ull,
+                         0x83d2d0c0fa9a9ab3ull, 0x313fb3008ed401f7ull});
+}
+
+TEST(CompileDeterminism, GoldenDigestsBaseline4)
+{
+    expectGoldenDigests(HardwareConfig::tiny(),
+                        CompilerOptions::baseline4(),
+                        {0x4960b7dc86631f85ull, 0x8fe17926a93435a2ull,
+                         0xd19752caa5a72573ull, 0x52f2920d3e8e10bbull,
+                         0xf8885bfcb7332f25ull, 0x2551315e3764f91bull,
+                         0x45e10a13194006fcull, 0x6eb615f7b001fcbaull,
+                         0xf50e0eadb30dcc67ull, 0x5a1d9daca1b2089bull});
+}
+
+/** An 8-register DataRF makes seven of the ten benchmarks spill. */
+TEST(CompileDeterminism, GoldenDigestsSpilling)
+{
+    HardwareConfig cfg = HardwareConfig::tiny();
+    cfg.dataRfBytes = 8 * kVectorBytes;
+    int spilled = expectGoldenDigests(
+        cfg, CompilerOptions::opt(),
+        {0x606c52d1b99c3c15ull, 0x78ac26f2a18c55eeull, 0x7879ccdd6f449329ull,
+         0x5469e43ad93654efull, 0x738e28628897c285ull, 0xcd41d7204e6dbb1bull,
+         0xaf2c1c856466f83cull, 0xef7edb4b2219b870ull, 0x3605ecda1af7cfe7ull,
+         0x78cf4959b75282d7ull});
+    EXPECT_GT(spilled, 0);
+}
+
 } // namespace
 } // namespace ipim
