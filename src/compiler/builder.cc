@@ -4,8 +4,19 @@
 
 namespace ipim {
 
-CodeBuilder::CodeBuilder(const HardwareConfig &cfg) : cfg_(cfg)
+CodeBuilder::CodeBuilder(const HardwareConfig &cfg, std::string name)
+    : cfg_(cfg)
 {
+    prog_.name = std::move(name);
+}
+
+u16
+CodeBuilder::newVirtual(u32 &next, const char *file)
+{
+    if (next > 0xFFFF)
+        fatal("kernel '", prog_.name, "': more than 65536 virtual ", file,
+              " registers");
+    return u16(next++);
 }
 
 u32

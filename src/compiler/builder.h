@@ -13,6 +13,7 @@
 #define IPIM_COMPILER_BUILDER_H_
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/config.h"
@@ -26,17 +27,20 @@ struct BuilderProgram
 {
     std::vector<Instruction> insts;
     std::map<i32, size_t> labelPos; ///< label id -> instruction index
+    std::string name;               ///< kernel name, for diagnostics
 };
 
 class CodeBuilder
 {
   public:
-    explicit CodeBuilder(const HardwareConfig &cfg);
+    /** @p name names the kernel in diagnostics. */
+    explicit CodeBuilder(const HardwareConfig &cfg, std::string name = {});
 
     // ---- virtual registers ----
-    u16 newDrf() { return nextDrf_++; }
-    u16 newArf() { return nextArf_++; }
-    u16 newCrf() { return nextCrf_++; }
+    /// Each file holds at most 65536 virtuals; one more is fatal.
+    u16 newDrf() { return newVirtual(nextDrf_, "DRF"); }
+    u16 newArf() { return newVirtual(nextArf_, "ARF"); }
+    u16 newCrf() { return newVirtual(nextCrf_, "CRF"); }
 
     /** Pre-colored identity ARF registers. */
     static u16 peId() { return kArfPeId; }
@@ -103,13 +107,14 @@ class CodeBuilder
     size_t size() const { return prog_.insts.size(); }
 
   private:
+    u16 newVirtual(u32 &next, const char *file);
     u16 materializeConst(const VecWord &v, u8 lanesUsed);
 
     const HardwareConfig &cfg_;
     BuilderProgram prog_;
-    u16 nextDrf_ = 0;
-    u16 nextArf_ = kNumReservedArf;
-    u16 nextCrf_ = 0;
+    u32 nextDrf_ = 0;
+    u32 nextArf_ = kNumReservedArf;
+    u32 nextCrf_ = 0;
     i32 nextLabel_ = 0;
     u32 vsmTop_ = 0;
 

@@ -60,7 +60,9 @@ class StageEmitter
     emitVault(u32 globalVault)
     {
         V_ = globalVault;
-        b_ = std::make_unique<CodeBuilder>(cfg_);
+        b_ = std::make_unique<CodeBuilder>(
+            cfg_, stage_.func->name() + " vault " +
+                      std::to_string(globalVault));
         resetCaches();
         if (stage_.isReduction)
             emitReduction();

@@ -2,7 +2,9 @@
  *  spilling), memory-order enforcement, and instruction reordering. */
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <string>
 
 #include "common/logging.h"
 #include "compiler/passes.h"
@@ -277,6 +279,147 @@ TEST(Backend, ArfExhaustionIsFatal)
     p.insts.push_back(Instruction::halt());
     EXPECT_THROW(runBackend(cfg(), p, CompilerOptions::opt(), 1 << 16),
                  FatalError);
+}
+
+/**
+ * Scratchpad ordering property: after scheduling, every scratchpad
+ * reader follows every earlier writer it may observe, and every writer
+ * follows every earlier reader it may clobber — VSM always, PGSM when
+ * the partition masks (scratchBank hints) overlap.  Random blocks mix
+ * the four scratchpad instructions with independent compute so the
+ * list scheduler has room to move them.
+ */
+TEST(Reorder, ScratchpadOrderingHoldsOnRandomBlocks)
+{
+    HardwareConfig c = cfg();
+    u32 m = mask(c);
+    enum Kind { kRdVsm, kWrVsm, kRdPgsm, kWrPgsm, kCompute };
+    std::mt19937 rng(20240611);
+    int reorderedBlocks = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        BuilderProgram p;
+        std::vector<Kind> kinds;
+        std::vector<u8> pgsmMask;
+        int n = 8 + int(rng() % 56);
+        u16 nextDrf = 16; // d0-d3 are read-only sources
+        for (int i = 0; i < n; ++i) {
+            Kind k = Kind(rng() % 5);
+            // A unique address identifies the instruction afterwards.
+            MemOperand addr = MemOperand::direct(u32(i) * kVectorBytes);
+            u16 src = u16(rng() % 4);
+            Instruction inst;
+            switch (k) {
+              case kRdVsm:
+                inst = Instruction::vsmRf(true, addr, nextDrf++, m);
+                break;
+              case kWrVsm:
+                inst = Instruction::vsmRf(false, addr, src, m);
+                break;
+              case kRdPgsm:
+              case kWrPgsm:
+                inst = Instruction::pgsmRf(k == kRdPgsm, addr,
+                                           k == kRdPgsm ? nextDrf++ : src,
+                                           m);
+                inst.scratchBank = u8(rng() % 3);
+                break;
+              case kCompute:
+                inst = Instruction::comp(AluOp::kMul, DType::kF32,
+                                         CompMode::kVecVec, nextDrf++, src,
+                                         src, kFullVecMask, m);
+                inst.imm = i; // identifies the instruction afterwards
+                break;
+            }
+            kinds.push_back(k);
+            pgsmMask.push_back(inst.scratchBank == 0
+                                   ? 0x3
+                                   : u8(1u << (inst.scratchBank - 1)));
+            p.insts.push_back(inst);
+        }
+        p.insts.push_back(Instruction::halt());
+
+        for (const CompilerOptions &o :
+             {CompilerOptions::opt(), CompilerOptions::baseline2(),
+              CompilerOptions::baseline4()}) {
+            auto out = runBackend(c, p, o, 1 << 16);
+            ASSERT_EQ(out.size(), p.insts.size());
+            std::vector<int> pos(size_t(n), -1);
+            for (size_t q = 0; q + 1 < out.size(); ++q) {
+                const Instruction &inst = out[q];
+                int id = inst.op == Opcode::kComp
+                             ? inst.imm
+                         : inst.op == Opcode::kRdVsm ||
+                                 inst.op == Opcode::kWrVsm
+                             ? int(inst.vsmAddr.value / kVectorBytes)
+                             : int(inst.pgsmAddr.value / kVectorBytes);
+                ASSERT_GE(id, 0);
+                ASSERT_LT(id, n);
+                ASSERT_EQ(pos[size_t(id)], -1) << "instruction emitted twice";
+                pos[size_t(id)] = int(q);
+            }
+            bool moved = false;
+            for (int j = 0; j < n; ++j) {
+                moved |= pos[size_t(j)] != j;
+                for (int i = 0; i < j; ++i) {
+                    Kind a = kinds[size_t(i)], b = kinds[size_t(j)];
+                    bool vsm = (a == kWrVsm && b == kRdVsm) ||
+                               (a == kRdVsm && b == kWrVsm);
+                    bool pgsm = ((a == kWrPgsm && b == kRdPgsm) ||
+                                 (a == kRdPgsm && b == kWrPgsm)) &&
+                                (pgsmMask[size_t(i)] & pgsmMask[size_t(j)]);
+                    if (vsm || pgsm) {
+                        EXPECT_LT(pos[size_t(i)], pos[size_t(j)])
+                            << "trial " << trial << ": " << i
+                            << " must precede " << j;
+                    }
+                }
+            }
+            reorderedBlocks += moved;
+        }
+    }
+    // The property is only meaningful if the scheduler moved things.
+    EXPECT_GT(reorderedBlocks, 300);
+}
+
+TEST(VirtualRegisters, BuilderOverflowIsFatal)
+{
+    CodeBuilder b(cfg(), "Huge vault 3");
+    for (u32 i = 0; i < 65536; ++i)
+        ASSERT_EQ(b.newDrf(), u16(i));
+    try {
+        b.newDrf();
+        FAIL() << "the 65537th DRF virtual must not wrap to d0";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("Huge vault 3"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("DRF"), std::string::npos) << msg;
+    }
+}
+
+TEST(VirtualRegisters, SpillTemporaryOverflowIsFatal)
+{
+    // 16 simultaneously-live values at the top of the DRF virtual space
+    // on an 8-register DataRF: the reload/store temporaries would have
+    // to be numbered past 65535.
+    HardwareConfig c = cfg();
+    c.dataRfBytes = 8 * kVectorBytes;
+    u32 m = mask(c);
+    BuilderProgram p;
+    p.name = "Top vault 0";
+    for (int i = 0; i < 16; ++i)
+        p.insts.push_back(Instruction::reset(u16(0xFFF0 + i), m));
+    for (int i = 0; i < 16; ++i)
+        p.insts.push_back(Instruction::memRf(
+            true, MemOperand::direct(u32(i) * kVectorBytes),
+            u16(0xFFF0 + i), m));
+    p.insts.push_back(Instruction::halt());
+    try {
+        runBackend(c, p, CompilerOptions::opt(), 1 << 16);
+        FAIL() << "spill temporaries must not wrap to d0";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("Top vault 0"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("DRF"), std::string::npos) << msg;
+    }
 }
 
 } // namespace
