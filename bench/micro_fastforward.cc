@@ -3,23 +3,28 @@
  *
  * Runs hand-written SIMB workloads chosen to be dominated by long
  * quiescent intervals — barrier parking behind a sync, RAW-serialized
- * SIMD chains, and DRAM refresh windows — once with dense per-cycle
- * ticking and once with fast-forward, and reports simulated cycles per
- * wall-second for both along with the speedup.
+ * SIMD chains, and DRAM refresh windows — then every Table II
+ * benchmark, once with dense per-cycle ticking and once with
+ * fast-forward, and reports the wall time of both along with the
+ * ratio.
  *
  * Bit-exactness is checked first (final cycle count and the full stats
- * registry must match between the two modes); a divergence exits
- * non-zero so CI can gate on it.  The speedup itself is reported, not
- * gated — machine load must not fail the build — but the emitted
- * BENCH_hotloop.json records it for the README table.
+ * registry must match between the two modes, and for the benchmarks
+ * every output pixel); a divergence exits non-zero so CI can gate on
+ * it.  The timings are reported, not gated — machine load must not
+ * fail the build — but the emitted BENCH_hotloop.json records them
+ * for the README table.
  */
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <thread>
 
+#include "apps/benchmarks.h"
 #include "common/json.h"
-#include "sim/device.h"
+#include "runtime/runtime.h"
 
 using namespace ipim;
 
@@ -159,6 +164,104 @@ runOnce(const Workload &w, bool fastForward)
     return r;
 }
 
+f64
+timeOnce(const std::function<void()> &fn)
+{
+    Clock::time_point t0 = Clock::now();
+    fn();
+    return std::chrono::duration<f64>(Clock::now() - t0).count();
+}
+
+/**
+ * Two cubes of 16 vaults each, as in the paper, with small process
+ * groups so the dense runs stay short: most vaults idle at a barrier
+ * while a few work, which is the case per-vault wake targets.
+ */
+HardwareConfig
+benchmarkDevice()
+{
+    HardwareConfig cfg = HardwareConfig::tiny();
+    cfg.cubes = 2;
+    cfg.vaultsPerCube = 16;
+    cfg.meshCols = 4;
+    return cfg;
+}
+
+constexpr int kBenchWidth = 96;
+constexpr int kBenchHeight = 48;
+
+/**
+ * Every Table II benchmark, dense vs fast-forward: cycles, stats, and
+ * pixels must match; wall times are the minimum of interleaved reps.
+ * @return false on any divergence.
+ */
+bool
+runTableII(JsonWriter &jw)
+{
+    HardwareConfig cfg = benchmarkDevice();
+    std::printf("\nTable II benchmarks at %dx%d on %u cubes x %u vaults "
+                "x %u PGs x %u PEs:\n",
+                kBenchWidth, kBenchHeight, cfg.cubes, cfg.vaultsPerCube,
+                cfg.pgsPerVault, cfg.pesPerPg);
+    std::printf("%-14s | %9s | %10s | %10s | %8s | %s\n", "benchmark",
+                "cycles", "dense ms", "ffwd ms", "ffwd/dense", "result");
+
+    bool allExact = true;
+    jw.key("benchmarks");
+    jw.beginArray();
+    for (const std::string &name : allBenchmarkNames()) {
+        BenchmarkApp app = makeBenchmark(name, kBenchWidth, kBenchHeight);
+        CompiledPipeline cp = compilePipeline(app.def, cfg);
+        Device denseDev(cfg);
+        denseDev.setFastForward(false);
+        Device ffDev(cfg);
+
+        LaunchResult dense, ff;
+        f64 tDense = timeOnce(
+            [&] { dense = launchOnDevice(denseDev, cp, app.inputs); });
+        f64 tFf =
+            timeOnce([&] { ff = launchOnDevice(ffDev, cp, app.inputs); });
+        bool exact = dense.cycles == ff.cycles &&
+                     denseDev.stats().toString() ==
+                         ffDev.stats().toString() &&
+                     dense.output.width() == ff.output.width() &&
+                     dense.output.height() == ff.output.height();
+        for (int y = 0; exact && y < dense.output.height(); ++y)
+            for (int x = 0; exact && x < dense.output.width(); ++x)
+                exact = f32AsLane(dense.output.at(x, y)) ==
+                        f32AsLane(ff.output.at(x, y));
+        allExact = allExact && exact;
+
+        constexpr int kReps = 3;
+        for (int i = 0; i < kReps; ++i) {
+            tDense = std::min(tDense, timeOnce([&] {
+                                  launchOnDevice(denseDev, cp, app.inputs);
+                              }));
+            tFf = std::min(tFf, timeOnce([&] {
+                               launchOnDevice(ffDev, cp, app.inputs);
+                           }));
+        }
+
+        f64 ratio = tFf / tDense;
+        std::printf("%-14s | %9llu | %10.3f | %10.3f | %9.3f | %s\n",
+                    name.c_str(), (unsigned long long)dense.cycles,
+                    tDense * 1e3, tFf * 1e3, ratio,
+                    exact ? "bit-exact" : "DIVERGED");
+
+        jw.beginObject();
+        jw.field("name", name);
+        jw.field("cycles", u64(dense.cycles));
+        jw.field("dense_wall_ms", tDense * 1e3);
+        jw.field("ffwd_wall_ms", tFf * 1e3);
+        jw.field("ffwd_over_dense", ratio);
+        jw.field("jumps", ffDev.ffwdJumps());
+        jw.field("bit_exact", exact);
+        jw.endObject();
+    }
+    jw.endArray();
+    return allExact;
+}
+
 } // namespace
 
 int
@@ -170,6 +273,7 @@ main()
     bool allExact = true;
     JsonWriter jw;
     jw.field("bench", "micro_fastforward");
+    jw.field("host_cores", std::max(1u, std::thread::hardware_concurrency()));
     jw.key("workloads");
     jw.beginArray();
 
@@ -222,6 +326,7 @@ main()
     }
 
     jw.endArray();
+    allExact = runTableII(jw) && allExact;
     jw.field("bit_exact", allExact);
     std::ofstream("BENCH_hotloop.json") << jw.finish() << "\n";
 

@@ -18,6 +18,8 @@ Cube::Cube(const HardwareConfig &cfg, u32 chipId, StatsRegistry *stats,
         vaults_.push_back(std::make_unique<Vault>(
             cfg, chipId, v, stats, trace,
             tracePrefix + "v" + std::to_string(v) + "/"));
+    wake_.assign(cfg.vaultsPerCube, 0);
+    from_.assign(cfg.vaultsPerCube, 0);
 }
 
 void
@@ -46,16 +48,37 @@ Cube::tick(Cycle now)
            mesh_.injectAt(0, serdesIngressRetry_.front()))
         serdesIngressRetry_.pop_front();
 
-    // 1. Deliver packets that reached their destination router.
+    // 1. Deliver packets that reached their destination router.  A
+    //    delivery is the only outside change to a vault's state, so it
+    //    wakes the vault for this cycle.
     for (u32 v = 0; v < numVaults(); ++v) {
-        for (const Packet &p : mesh_.delivered(v))
+        auto &in = mesh_.delivered(v);
+        if (in.empty())
+            continue;
+        catchUpVault(v, now);
+        wake_[v] = now;
+        for (const Packet &p : in)
             vaults_[v]->deliver(p);
-        mesh_.delivered(v).clear();
+        in.clear();
     }
 
-    // 2. Vault-internal progress.
-    for (auto &vault : vaults_)
-        vault->tick(now);
+    // 2. Vault-internal progress.  Under fast-forward each ticked vault
+    //    then caches its wake cycle.  One that just issued will likely
+    //    issue again, so it is simply due next cycle (early is allowed,
+    //    Sec. 13); so is one with packets for step 3 to drain.
+    for (u32 v = 0; v < numVaults(); ++v) {
+        if (lazy_ && wake_[v] > now)
+            continue;
+        catchUpVault(v, now);
+        Vault &vault = *vaults_[v];
+        u64 issued = vault.issuedCount();
+        vault.tick(now);
+        from_[v] = now + 1;
+        if (fastForward_)
+            wake_[v] = vault.issuedCount() != issued
+                           ? now + 1
+                           : vault.nextEventAt(now + 1);
+    }
 
     // 3. Drain NIC outboxes into the mesh / SERDES egress, preserving
     //    per-vault order.
@@ -96,17 +119,42 @@ Cube::nextEventAt(Cycle now) const
     // mesh event, and a full gateway queue implies the mesh holds
     // packets, so mesh_.nextEventAt already reports it.
     Cycle e = mesh_.nextEventAt(now);
-    for (const auto &vault : vaults_)
-        e = std::min(e, vault->nextEventAt(now));
+    for (Cycle w : wake_)
+        e = std::min(e, w);
     return e;
+}
+
+void
+Cube::beginRun(Cycle now, bool fastForward, bool lazy)
+{
+    fastForward_ = fastForward;
+    lazy_ = fastForward && lazy;
+    std::fill(wake_.begin(), wake_.end(), now);
+    std::fill(from_.begin(), from_.end(), now);
+}
+
+void
+Cube::catchUpVault(u32 v, Cycle now)
+{
+    if (from_[v] >= now)
+        return;
+    vaults_[v]->creditSkipped(from_[v], now - from_[v]);
+    from_[v] = now;
+}
+
+void
+Cube::settle(Cycle now)
+{
+    for (u32 v = 0; v < numVaults(); ++v)
+        catchUpVault(v, now);
 }
 
 void
 Cube::creditSkipped(Cycle from, u64 skipped)
 {
     mesh_.creditSkipped(skipped);
-    for (auto &vault : vaults_)
-        vault->creditSkipped(from, skipped);
+    if (!lazy_)
+        settle(from + skipped);
 }
 
 void

@@ -213,15 +213,15 @@ Device::catchUpIdleCube(u32 c, Cycle to)
     Cycle interval = traced ? shard->sampleInterval() : 0;
 
     // An idle cube still advances per-cycle state the stats and trace
-    // observe (DRAM refresh credit, mesh arbiter rotation, boundary
-    // counter samples).  Dense mode ticks it densely, exactly like the
-    // sequential engine would; fast-forward credits the quiescent
-    // stretch in bulk, dense-ticking only trace-boundary cycles —
-    // bit-equivalent per the Sec. 13 crediting contract.
+    // observe (DRAM refresh, mesh arbiter rotation, boundary counter
+    // samples).  Dense mode ticks it densely, exactly like the
+    // sequential engine would; fast-forward jumps between the cube's
+    // own events (its vaults' refresh deadlines) and trace-boundary
+    // cycles and ticks those, exactly like the quantum loop.
     Cycle t = cx.idleFrom;
     while (t < to) {
         if (fastForward_) {
-            Cycle e = to;
+            Cycle e = std::min(cube.nextEventAt(t), to);
             if (traced) {
                 Cycle rem = t % interval;
                 e = std::min(e, rem == 0 ? t : t + (interval - rem));
@@ -305,10 +305,19 @@ Device::run(u64 maxCycles)
                        qMustTick || !cubeCtx_[c].deliveries.empty());
     };
 
+    // Activity-driven ticking (DESIGN.md Sec. 13): under fast-forward a
+    // cube ticks only the vaults with an event due and credits the rest
+    // lazily.  The runtime may have rewritten banks, programs, or a
+    // checkpoint since the last run, so every vault starts out due.
+    // Under a tracer every vault ticks every ticked cycle instead.
+    for (auto &cube : cubes_)
+        cube->beginRun(now_, fastForward_, !traced);
+
     while (true) {
         // A sample at cycle t sees the state after cycles [0, t); the
         // probe cadence is cached so the disabled path is one compare.
         if (now_ >= probeNextAt_) {
+            settle();
             probe_->sample(*this, now_);
             probeNextAt_ = probe_->nextSampleAt(now_ + 1);
         }
@@ -423,11 +432,17 @@ Device::run(u64 maxCycles)
         }
 
         now_ = target;
-        if (quiesced)
+        // The run ends here or below: credit the lagging vaults first,
+        // because the runtime reads their counters next.
+        if (quiesced) {
+            settle();
             break;
-        if (now_ >= limit)
+        }
+        if (now_ >= limit) {
+            settle();
             fatal("deadlock watchdog: device did not quiesce within ",
                   maxCycles, " cycles");
+        }
 
         // Device-wide fast-forward over globally quiescent stretches
         // (DESIGN.md Sec. 13), between the quantum that just ended and
@@ -450,8 +465,10 @@ Device::run(u64 maxCycles)
             continue;
         u64 skipped = e - now_;
         bool probeJump = probeNextAt_ < e;
-        if (probeJump)
+        if (probeJump) {
+            settle();
             probe_->beforeJump(*this, now_, e);
+        }
         for (u32 c = 0; c < nCubes; ++c) {
             // Stall-span transitions credited here merge at the cycle a
             // dense tick would have emitted them (see runCubeQuantum).
@@ -469,12 +486,15 @@ Device::run(u64 maxCycles)
         ffwdSkipped_ += skipped;
         ++ffwdJumps_;
         if (probeJump) {
+            settle();
             probe_->afterJump(*this, from, e);
             probeNextAt_ = probe_->nextSampleAt(now_);
         }
-        if (now_ >= limit)
+        if (now_ >= limit) {
+            settle();
             fatal("deadlock watchdog: device did not quiesce within ",
                   maxCycles, " cycles");
+        }
     }
 
     lastRunCycles_ = now_ - start;
@@ -486,6 +506,15 @@ Device::run(u64 maxCycles)
         mergeTraceShards();
     }
     return lastRunCycles_;
+}
+
+void
+Device::settle()
+{
+    for (u32 c = 0; c < cubes_.size(); ++c) {
+        cubes_[c]->settle(now_);
+        statShards_[c]->drainInto(stats_);
+    }
 }
 
 u64

@@ -103,10 +103,11 @@ class Device
      * pool; results are bit-exact regardless of thread count.
      *
      * With fast-forward enabled (the default) each cube additionally
-     * jumps over its quiescent intervals inside a quantum, and whole-
-     * device quiescent stretches are jumped at the barrier using the
-     * nextEventAt() tree (DESIGN.md Sec. 13); all stats, traces, and
-     * cycle counts are bit-exact with dense ticking.
+     * jumps over its quiescent intervals inside a quantum, ticks only
+     * the vaults with an event due, and whole-device quiescent
+     * stretches are jumped at the barrier using the cubes' per-vault
+     * wake tables (DESIGN.md Sec. 13); all stats, traces, and cycle
+     * counts are bit-exact with dense ticking.
      */
     Cycle run(u64 maxCycles = 500'000'000ull);
 
@@ -136,7 +137,8 @@ class Device
     /**
      * Earliest future cycle any component of the device can change
      * state: min over the SERDES in-transit packets and the cubes.
-     * Exposed for tests; run() consumes it internally.
+     * Reads the wake tables a fast-forward run() keeps; run() consumes
+     * it internally.
      */
     Cycle nextEventAt(Cycle now) const;
 
@@ -211,6 +213,10 @@ class Device
      *  the barrier: refresh, arbiter rotation, and trace samples still
      *  advance while a cube idles.  Must produce no SERDES egress. */
     void catchUpIdleCube(u32 c, Cycle to);
+
+    /** Credit every lagging vault up to now_ and fold the stat shards,
+     *  so counters read as after a dense run of cycles [0, now_). */
+    void settle();
 
     /** Drain the per-cube trace shards into the parent tracer, merged
      *  by (record cycle, cube index, intra-shard order). */
