@@ -15,17 +15,6 @@ struct E2eCase
     int w, h;
 };
 
-/**
- * gtest would print the case as raw bytes, the name pointer included,
- * and ctest copies that text into each test's name; print the fields
- * instead so the names are the same in every build.
- */
-void
-PrintTo(const E2eCase &c, std::ostream *os)
-{
-    *os << c.name << " " << c.w << "x" << c.h;
-}
-
 class Benchmarks : public ::testing::TestWithParam<E2eCase>
 {
 };
