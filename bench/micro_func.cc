@@ -81,7 +81,7 @@ main()
 
         // Devices and the estimator are constructed once and reused
         // across launches — the serving pattern this backend exists
-        // for (Server slots hold a long-lived device; every launch
+        // for (serving slots hold a long-lived device; every launch
         // still power-cycles it).
         FuncDevice fdev(cfg);
         LatencyEstimator est;

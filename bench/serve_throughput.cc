@@ -1,7 +1,9 @@
 /**
- * Serving-layer throughput study (DESIGN.md Sec. 11): sweeps arrival
+ * Serving-layer throughput study (DESIGN.md Sec. 17): sweeps arrival
  * rate x {scheduler} x {sharing mode} over a mixed open-loop Poisson
- * workload and reports tail latency, throughput, and makespan.
+ * workload on a 1-device fleet and reports tail latency, throughput,
+ * and makespan.  Launches cost no dispatcher cycles and nothing is
+ * preempted, so only scheduling and partitioning move the numbers.
  *
  * Expected shape: cube-granular space sharing beats whole-device
  * serialization on total completion time because per-benchmark cube
@@ -11,7 +13,7 @@
  * with the gap widening as the arrival rate approaches saturation.
  */
 #include "bench_common.h"
-#include "service/server.h"
+#include "fleet/fleet.h"
 
 using namespace ipim;
 using namespace ipim::bench;
@@ -22,7 +24,7 @@ struct Setting
 {
     const char *name;
     const char *policy;
-    ShareMode share;
+    bool whole; ///< one slot spanning every cube, else one per cube
 };
 
 HardwareConfig
@@ -46,10 +48,10 @@ main()
     printHeader("Serve", "request scheduling x device sharing");
 
     const Setting settings[] = {
-        {"fifo+whole", "fifo", ShareMode::kWholeDevice},
-        {"sjf+whole", "sjf", ShareMode::kWholeDevice},
-        {"fifo+cube", "fifo", ShareMode::kPerCube},
-        {"sjf+cube", "sjf", ShareMode::kPerCube},
+        {"fifo+whole", "fifo", true},
+        {"sjf+whole", "sjf", true},
+        {"fifo+cube", "fifo", false},
+        {"sjf+cube", "sjf", false},
     };
     // Low rates are arrival-bound (makespan == last arrival + service);
     // the interesting regime is near/over saturation (~100k req/s for
@@ -73,14 +75,16 @@ main()
         std::vector<ServeRequest> reqs = generatePoissonWorkload(spec);
         f64 fifoWholeMakespan = 0, sjfCubeMakespan = 0;
         for (const Setting &s : settings) {
-            ServerConfig cfg;
+            FleetConfig cfg;
             cfg.hw = serveDevice();
+            cfg.devices = 1;
             cfg.width = 128;
             cfg.height = 64;
             cfg.policy = s.policy;
-            cfg.share = s.share;
-            Server server(cfg);
-            ServeReport rep = server.run(reqs);
+            cfg.cubesPerRequest = s.whole ? cfg.hw.cubes : 1;
+            cfg.preempt = false;
+            cfg.launchOverheadCycles = 0;
+            FleetReport rep = FleetServer(cfg).run(reqs);
             f64 mk = f64(rep.makespan) * 1e-6;
             if (std::string(s.name) == "fifo+whole")
                 fifoWholeMakespan = mk;

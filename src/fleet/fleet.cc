@@ -114,6 +114,15 @@ FleetReport::summary() const
     out << "  program cache: " << compiles << " compiles, " << hits
         << " hits, " << evictions << " evictions over " << devices.size()
         << " devices\n";
+    if (estimatorSamples > 0) {
+        // Only integers and preformatted strings follow, so the
+        // precision change cannot leak into later fields.
+        out.precision(1);
+        out << std::fixed << "  estimator error vs measured: mean "
+            << estimatorMeanAbsRelErr * 100 << "% | max "
+            << estimatorMaxAbsRelErr * 100 << "% over "
+            << estimatorSamples << " requests\n";
+    }
     for (const TenantReport &t : tenants) {
         out << "  tenant " << t.name << ": " << t.completed
             << " done, " << t.shed << " shed";
@@ -159,8 +168,8 @@ FleetReport::toJson(JsonWriter &w, const FleetConfig &cfg) const
     w.field("makespan_cycles", u64(makespan));
     w.field("throughput_rps", throughputRps());
 
-    // Fast-forward telemetry summed over the fleet (satellite of the
-    // single-device fast_forward block; all zero on the func backend).
+    // Fast-forward telemetry summed over the fleet (all zero on the
+    // func backend).
     u64 ffwdJumps = 0;
     u64 ffwdSkipped = 0;
     for (const DeviceReport &d : devices) {
@@ -890,9 +899,17 @@ FleetServer::run(const std::vector<ServeRequest> &requests)
                 }
             }
 
-            Cycle launchStart = std::max(now + compile, ds.launcherFreeAt);
+            // A zero-length launch takes no launcher slot: with
+            // launchOverheadCycles == 0 a cache-hit launch never waits
+            // behind an earlier miss's host compile, which is exactly
+            // the single-device serving model (DESIGN.md Sec. 17).
+            Cycle launchStart = now + compile;
+            if (cfg_.launchOverheadCycles != 0) {
+                launchStart = std::max(launchStart, ds.launcherFreeAt);
+                ds.launcherFreeAt =
+                    launchStart + cfg_.launchOverheadCycles;
+            }
             Cycle execStart = launchStart + cfg_.launchOverheadCycles;
-            ds.launcherFreeAt = execStart;
 
             i64 batchId = -1;
             if (group.size() > 1) {
@@ -985,6 +1002,18 @@ FleetServer::run(const std::vector<ServeRequest> &requests)
             }
             if (cfg_.backend == "cycle") {
                 rep.stats.merge(ds.slots[s].dev->stats());
+                // Estimator-error telemetry: how far the static cost
+                // model was from this request's measured cycles
+                // (DESIGN.md Sec. 16 calibration data).
+                Cycle est = r.p.program->staticCycles;
+                if (est > 0) {
+                    f64 err = std::abs(f64(est) - f64(r.p.doneExec)) /
+                              f64(r.p.doneExec);
+                    ++rep.estimatorSamples;
+                    rep.estimatorMeanAbsRelErr += err; // sum; mean later
+                    rep.estimatorMaxAbsRelErr =
+                        std::max(rep.estimatorMaxAbsRelErr, err);
+                }
                 r.p.program->recordMeasurement(r.p.doneExec);
                 estimator_.recordMeasurement(pipe, f64(r.p.doneExec));
             }
@@ -1147,6 +1176,13 @@ FleetServer::run(const std::vector<ServeRequest> &requests)
     rep.stats.set("fleet.preemptions", f64(rep.preemptions));
     rep.stats.set("fleet.makespanCycles", f64(rep.makespan));
     rep.stats.set("fleet.throughputRps", rep.throughputRps());
+    if (rep.estimatorSamples > 0)
+        rep.estimatorMeanAbsRelErr /= f64(rep.estimatorSamples);
+    rep.stats.set("fleet.estimator.samples", f64(rep.estimatorSamples));
+    rep.stats.set("fleet.estimator.meanAbsRelErr",
+                  rep.estimatorMeanAbsRelErr);
+    rep.stats.set("fleet.estimator.maxAbsRelErr",
+                  rep.estimatorMaxAbsRelErr);
     return rep;
 }
 

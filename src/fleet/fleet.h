@@ -3,16 +3,18 @@
  * Fleet-scale serving (DESIGN.md Sec. 17): N independent devices behind
  * a Router, with per-tenant weighted fair share, priority preemption at
  * kernel boundaries, cross-request batching, and p99-driven load
- * shedding — a layer above the single-device Server of src/service.
+ * shedding, built on the program cache, schedulers, and load generator
+ * of src/service.  This is the repository's only serving loop: plain
+ * `ipim serve` runs it with one device, and a 1-device fleet with
+ * launchOverheadCycles == 0 is the plain single-device server
+ * (cube-granular partition slots, FIFO or SJF, compile-on-miss).
  *
- * Unlike Server (which executes a whole pipeline at dispatch time and
- * jumps the clock to its completion), the fleet interleaves execution
- * with virtual time at kernel granularity: a dispatched request
- * simulates one kernel at a time, and each kernel boundary is an event
- * at which the fleet may preempt the request in favour of a
- * higher-priority pending one (checkpoint.h captures banks +
- * scratchpads; the victim resumes bit-exactly on any slot of the same
- * geometry).
+ * The fleet interleaves execution with virtual time at kernel
+ * granularity: a dispatched request simulates one kernel at a time, and
+ * each kernel boundary is an event at which the fleet may preempt the
+ * request in favour of a higher-priority pending one (checkpoint.h
+ * captures banks + scratchpads; the victim resumes bit-exactly on any
+ * slot of the same geometry).
  *
  * Everything is deterministic: the event loop consumes no randomness,
  * ties break on (device, slot, tenant, arrival, id), and all state is
@@ -90,13 +92,14 @@ struct FleetConfig
 
     Cycle sloWindowCycles = 1'000'000;
     /** Host compile latency charged per static instruction on a
-     *  program-cache miss (same model as ServerConfig). */
+     *  program-cache miss; 0 disables the charge. */
     Cycle compileCyclesPerInst = 10;
     /**
      * Per-launch dispatcher occupancy: uploading a program broadcast
      * occupies the device's host link for this many cycles, and
      * launches on one device serialize through it.  A batch pays it
-     * once for all members — the batching win.
+     * once for all members — the batching win.  0 makes launches free
+     * and unserialized (a zero-length launch takes no launcher slot).
      */
     Cycle launchOverheadCycles = 1000;
 
@@ -170,7 +173,7 @@ struct FleetReport
         u64 cacheEntries = 0;
         Cycle busyCycles = 0; ///< exec cycles simulated here
         /// Fast-forward telemetry summed over this device's slots
-        /// (cycle backend; satellite of the single-device fields).
+        /// (cycle backend).
         u64 ffwdSkippedCycles = 0;
         u64 ffwdJumps = 0;
         SloTracker slo;
@@ -216,6 +219,16 @@ struct FleetReport
     /** fleet.* counters plus merged per-occupancy device stats on the
      *  cycle backend. */
     StatsRegistry stats;
+
+    /**
+     * Static-estimator error against measured cycles, sampled once per
+     * completed request on the cycle backend (fleet.estimator.* stats;
+     * zero samples on the functional backend, where no measurement
+     * exists to compare against).
+     */
+    u64 estimatorSamples = 0;
+    f64 estimatorMeanAbsRelErr = 0;
+    f64 estimatorMaxAbsRelErr = 0;
 
     /** Completed requests per second of virtual time. */
     f64 throughputRps() const;

@@ -200,9 +200,13 @@ FleetObserver::onRoute(Cycle now, const ServeRequest &req,
         fleet_->instantArg(fleetRouterTrack_, TraceEv::kFleetRoute, now,
                            req.id);
     Tracer *dt = deviceTracer(device);
-    if (Tracer::active(dt))
+    if (Tracer::active(dt)) {
         dt->asyncBegin(devReqTrack_[device], TraceEv::kReqQueued, now,
                        req.id);
+        dt->instantArg(devReqTrack_[device],
+                       cacheHit ? TraceEv::kCacheHit : TraceEv::kCacheMiss,
+                       now, req.id);
+    }
 }
 
 void

@@ -9,10 +9,11 @@
  *
  *  - Tracing: a fleet-level Tracer (request lifetime spans, routing and
  *    shed instants) plus one Tracer per device (queue/compile/execute
- *    async spans, preempt/resume instants, batch-forming spans, and —
- *    on the cycle backend — the full device-internal component tracks,
- *    because each slot Device is constructed against its device's
- *    tracer with a "slot<i>/" prefix).  exportChromeJson() merges them
+ *    async spans, program-cache hit/miss and preempt/resume instants,
+ *    batch-forming spans, and — on the cycle backend — the full
+ *    device-internal component tracks, because each slot Device is
+ *    constructed against its device's tracer with a "slot<i>/"
+ *    prefix).  exportChromeJson() merges them
  *    into one multi-process Chrome trace: pid 0 is the fleet, pid 1+d
  *    is device d, and same-named slot tracks on different devices stay
  *    distinct because every pid names tracks from its own table.

@@ -11,8 +11,9 @@
 #include <sstream>
 
 #include "apps/benchmarks.h"
+#include "fleet/fleet.h"
+#include "fleet/observer.h"
 #include "runtime/runtime.h"
-#include "service/server.h"
 #include "trace/trace.h"
 
 namespace ipim {
@@ -107,15 +108,17 @@ TEST(FastForward, ServeBitExact)
     std::string stats[2];
     std::string chrome[2];
     for (int mode = 0; mode < 2; ++mode) {
-        ServerConfig cfg;
+        FleetObserverConfig oc;
+        oc.tracing = true;
+        FleetObserver obs(oc);
+        FleetConfig cfg;
         cfg.hw = HardwareConfig::tiny();
         cfg.hw.cubes = 2;
+        cfg.devices = 1;
         cfg.width = 64;
         cfg.height = 32;
         cfg.fastForward = mode == 1;
-        Tracer tr;
-        tr.setEnabled(true);
-        cfg.tracer = &tr;
+        cfg.observer = &obs;
 
         WorkloadSpec spec;
         spec.pipelines = {"Blur", "Brighten"};
@@ -123,11 +126,11 @@ TEST(FastForward, ServeBitExact)
         spec.requests = 6;
         spec.seed = 7;
 
-        Server server(cfg);
-        ServeReport rep = server.run(generatePoissonWorkload(spec));
+        FleetReport rep =
+            FleetServer(cfg).run(generatePoissonWorkload(spec));
         stats[mode] = rep.stats.toString();
         std::ostringstream os;
-        tr.exportChromeJson(os);
+        obs.exportChromeJson(os);
         chrome[mode] = os.str();
     }
     EXPECT_EQ(stats[0], stats[1]);

@@ -194,6 +194,186 @@ TEST(Fleet, FixedSeedRunsAreByteIdentical)
     EXPECT_EQ(a.prometheusText(), b.prometheusText());
 }
 
+/** One request as the single-device serving loop recorded it. */
+struct ServedRecord
+{
+    u64 id;
+    Cycle start;
+    Cycle finish;
+    Cycle exec;
+    Cycle compile;
+    bool cacheHit;
+    u32 firstCube;
+};
+
+/** What the single-device serving loop produced for one trace. */
+struct ServedTrace
+{
+    const char *name;
+    std::vector<std::string> pipelines;
+    f64 rate;
+    u32 requests;
+    u64 seed;
+    const char *policy;
+    bool whole; ///< one partition spanning both cubes
+    Cycle makespan;
+    u64 deviceStatsDigest; ///< FNV-1a of the merged device stats
+    u64 estimatorSamples;
+    f64 estimatorMean;
+    f64 estimatorMax;
+    std::vector<ServedRecord> records; ///< by id
+};
+
+/** 64-bit FNV-1a over the merged device counters (the serve.*, slo.*,
+ *  and fleet.* bookkeeping keys left out). */
+u64
+deviceStatsDigest(const StatsRegistry &stats)
+{
+    StatsRegistry dev;
+    for (const auto &[k, v] : stats.all())
+        if (k.rfind("serve.", 0) != 0 && k.rfind("slo.", 0) != 0 &&
+            k.rfind("fleet.", 0) != 0)
+            dev.set(k, v);
+    u64 h = 0xcbf29ce484222325ull;
+    for (unsigned char c : dev.toString()) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * A 1-device fleet with free launches and no preemption is the plain
+ * single-device server.  The expected values were recorded from the
+ * standalone single-device serving loop the fleet replaced (tiny
+ * 2-cube geometry, 64x32, cycle backend); they pin start, finish,
+ * exec, and compile cycles per request, so a cache-hit launch that
+ * waited behind an earlier miss's compile would show here.
+ */
+TEST(Fleet, SingleDeviceMatchesRetiredServer)
+{
+    const std::vector<ServedTrace> golden = {
+        {"per-cube fifo @100k", {"Blur", "Brighten"}, 100000, 12, 3,
+         "fifo", false, 70792, 0xb7b90650354b3c91ull, 12,
+         0.11306367237807154, 0.12627169359664872,
+         {{0, 2482, 43609, 3607, 37520, false, 0},
+          {1, 7767, 11374, 3607, 0, true, 1},
+          {2, 13250, 16857, 3607, 0, true, 1},
+          {3, 19946, 24657, 1671, 3040, false, 1},
+          {4, 24657, 28264, 3607, 0, true, 1},
+          {5, 41693, 45300, 3607, 0, true, 1},
+          {6, 43609, 47216, 3607, 0, true, 0},
+          {7, 47558, 49229, 1671, 0, true, 0},
+          {8, 48906, 52513, 3607, 0, true, 1},
+          {9, 63365, 65036, 1671, 0, true, 0},
+          {10, 65362, 68969, 3607, 0, true, 0},
+          {11, 69121, 70792, 1671, 0, true, 0}}},
+        {"per-cube sjf @100k", {"Blur", "Brighten"}, 100000, 16, 5,
+         "sjf", false, 79933, 0xfe37ffd8eb8db104ull, 16,
+         0.1114126697257494, 0.12627169359664872,
+         {{0, 75, 41202, 3607, 37520, false, 0},
+          {1, 514, 4121, 3607, 0, true, 1},
+          {2, 7255, 10862, 3607, 0, true, 1},
+          {3, 10862, 15573, 1671, 3040, false, 1},
+          {4, 17244, 20851, 3607, 0, true, 1},
+          {5, 15573, 17244, 1671, 0, true, 1},
+          {6, 24972, 28579, 3607, 0, true, 1},
+          {7, 28579, 32186, 3607, 0, true, 1},
+          {8, 39745, 43352, 3607, 0, true, 1},
+          {9, 44871, 48478, 3607, 0, true, 0},
+          {10, 46652, 50259, 3607, 0, true, 1},
+          {11, 49126, 52733, 3607, 0, true, 0},
+          {12, 55975, 57646, 1671, 0, true, 0},
+          {13, 72065, 75672, 3607, 0, true, 0},
+          {14, 76326, 79933, 3607, 0, true, 0},
+          {15, 77661, 79332, 1671, 0, true, 1}}},
+        {"whole-device fifo @2M", {"Blur", "Brighten", "Shift"}, 2e6, 12,
+         11, "fifo", true, 64686, 0x6adaa98d26b9d261ull, 12,
+         0.090001759970037495, 0.12294697325199437,
+         {{0, 944, 5988, 884, 4160, false, 0},
+          {1, 5988, 50599, 2131, 42480, false, 0},
+          {2, 50599, 57223, 304, 6320, false, 0},
+          {3, 57223, 58107, 884, 0, true, 0},
+          {4, 58107, 58991, 884, 0, true, 0},
+          {5, 58991, 59875, 884, 0, true, 0},
+          {6, 59875, 60759, 884, 0, true, 0},
+          {7, 60759, 62890, 2131, 0, true, 0},
+          {8, 62890, 63194, 304, 0, true, 0},
+          {9, 63194, 63498, 304, 0, true, 0},
+          {10, 63498, 63802, 304, 0, true, 0},
+          {11, 63802, 64686, 884, 0, true, 0}}},
+        {"per-cube sjf @2M", {"Blur", "Brighten", "Shift"}, 2e6, 12, 11,
+         "sjf", false, 42142, 0xac7de2b6e04a4112ull, 12,
+         0.12483516771583214, 0.13186813186813187,
+         {{0, 944, 5655, 1671, 3040, false, 0},
+          {1, 1015, 42142, 3607, 37520, false, 1},
+          {2, 18982, 24517, 455, 5080, false, 0},
+          {3, 7020, 8691, 1671, 0, true, 0},
+          {4, 8691, 10362, 1671, 0, true, 0},
+          {5, 10362, 12033, 1671, 0, true, 0},
+          {6, 12033, 13704, 1671, 0, true, 0},
+          {7, 15375, 18982, 3607, 0, true, 0},
+          {8, 5655, 6110, 455, 0, true, 0},
+          {9, 6110, 6565, 455, 0, true, 0},
+          {10, 6565, 7020, 455, 0, true, 0},
+          {11, 13704, 15375, 1671, 0, true, 0}}},
+    };
+
+    for (const ServedTrace &g : golden) {
+        SCOPED_TRACE(g.name);
+        FleetConfig cfg = smallFleet(1, "cycle");
+        cfg.policy = g.policy;
+        cfg.cubesPerRequest = g.whole ? cfg.hw.cubes : 1;
+        cfg.preempt = false;
+        cfg.launchOverheadCycles = 0;
+        FleetReport rep = FleetServer(cfg).run(
+            trace(g.pipelines, g.requests, g.rate, g.seed));
+
+        ASSERT_EQ(rep.records.size(), g.records.size());
+        for (size_t i = 0; i < g.records.size(); ++i) {
+            const ServedRecord &want = g.records[i];
+            const FleetRequestRecord &got = rep.records[i];
+            SCOPED_TRACE("request " + std::to_string(want.id));
+            EXPECT_EQ(got.id, want.id);
+            EXPECT_EQ(got.start, want.start);
+            EXPECT_EQ(got.finish, want.finish);
+            EXPECT_EQ(got.execCycles, want.exec);
+            EXPECT_EQ(got.compileCycles, want.compile);
+            EXPECT_EQ(got.overheadCycles, 0u);
+            EXPECT_EQ(got.cacheHit, want.cacheHit);
+            EXPECT_EQ(got.slot * cfg.cubesPerRequest, want.firstCube);
+        }
+        EXPECT_EQ(rep.makespan, g.makespan);
+        EXPECT_EQ(deviceStatsDigest(rep.stats), g.deviceStatsDigest);
+        EXPECT_EQ(rep.estimatorSamples, g.estimatorSamples);
+        EXPECT_NEAR(rep.estimatorMeanAbsRelErr, g.estimatorMean, 1e-12);
+        EXPECT_NEAR(rep.estimatorMaxAbsRelErr, g.estimatorMax, 1e-12);
+    }
+}
+
+TEST(Fleet, EstimatorErrorIsSampledOnTheCycleBackendOnly)
+{
+    std::vector<ServeRequest> reqs =
+        trace({"Blur", "Brighten"}, 6, 100000, 7);
+
+    FleetReport cycle = FleetServer(smallFleet(1, "cycle")).run(reqs);
+    EXPECT_EQ(cycle.estimatorSamples, 6u);
+    EXPECT_EQ(cycle.stats.get("fleet.estimator.samples"), 6.0);
+    EXPECT_GT(cycle.stats.get("fleet.estimator.maxAbsRelErr"), 0.0);
+    EXPECT_GE(cycle.stats.get("fleet.estimator.maxAbsRelErr"),
+              cycle.stats.get("fleet.estimator.meanAbsRelErr"));
+    EXPECT_NE(cycle.summary().find("estimator error vs measured"),
+              std::string::npos);
+
+    // The functional backend measures nothing, so there is no error to
+    // sample.
+    FleetReport func = FleetServer(smallFleet(1, "func")).run(reqs);
+    EXPECT_EQ(func.estimatorSamples, 0u);
+    EXPECT_EQ(func.stats.get("fleet.estimator.samples"), 0.0);
+    EXPECT_EQ(func.stats.get("fleet.estimator.meanAbsRelErr"), 0.0);
+    EXPECT_EQ(func.summary().find("estimator error"), std::string::npos);
+}
+
 /** Batching must be a pure scheduling change: every output image is
  *  bit-identical to the sequential (batching-off) run's. */
 void

@@ -10,12 +10,12 @@
 #include <limits>
 
 #include "apps/benchmarks.h"
+#include "fleet/fleet.h"
 #include "metrics/metrics.h"
 #include "metrics/profile.h"
 #include "metrics/prometheus.h"
 #include "metrics/slo.h"
 #include "runtime/runtime.h"
-#include "service/server.h"
 
 namespace ipim {
 namespace {
@@ -412,9 +412,10 @@ TEST(Prometheus, EmptySummaryOmitsQuantiles)
 
 TEST(Service, ServerExportsSloMetrics)
 {
-    ServerConfig cfg;
+    FleetConfig cfg;
     cfg.hw = HardwareConfig::tiny();
     cfg.hw.cubes = 2;
+    cfg.devices = 1;
     cfg.width = 64;
     cfg.height = 32;
     cfg.sloWindowCycles = 200'000;
@@ -425,8 +426,7 @@ TEST(Service, ServerExportsSloMetrics)
     spec.requests = 6;
     spec.seed = 7;
 
-    Server server(cfg);
-    ServeReport rep = server.run(generatePoissonWorkload(spec));
+    FleetReport rep = FleetServer(cfg).run(generatePoissonWorkload(spec));
 
     EXPECT_EQ(rep.slo.requests(), rep.records.size());
     EXPECT_EQ(rep.slo.windowCycles(), cfg.sloWindowCycles);

@@ -14,8 +14,9 @@
 #include <sstream>
 
 #include "apps/benchmarks.h"
+#include "fleet/fleet.h"
+#include "fleet/observer.h"
 #include "runtime/runtime.h"
-#include "service/server.h"
 #include "trace/trace.h"
 
 namespace ipim {
@@ -127,20 +128,22 @@ TEST(Parallel, ThreadCountClampsToCubes)
 
 TEST(Parallel, ServeBitExactAcrossThreads)
 {
-    // The multi-tenant server must byte-match regardless of slot-device
+    // Serving on one device must byte-match regardless of slot-device
     // thread count: same report stats, same trace stream.
     std::string refStats, refTrace;
     for (u32 threads : {1u, 2u, 4u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        ServerConfig cfg;
+        FleetObserverConfig oc;
+        oc.tracing = true;
+        FleetObserver obs(oc);
+        FleetConfig cfg;
         cfg.hw = HardwareConfig::tiny();
         cfg.hw.cubes = 2;
+        cfg.devices = 1;
         cfg.width = 64;
         cfg.height = 32;
         cfg.threads = threads;
-        Tracer tr;
-        tr.setEnabled(true);
-        cfg.tracer = &tr;
+        cfg.observer = &obs;
 
         WorkloadSpec spec;
         spec.pipelines = {"Blur", "Brighten"};
@@ -148,10 +151,10 @@ TEST(Parallel, ServeBitExactAcrossThreads)
         spec.requests = 6;
         spec.seed = 7;
 
-        Server server(cfg);
-        ServeReport rep = server.run(generatePoissonWorkload(spec));
+        FleetReport rep =
+            FleetServer(cfg).run(generatePoissonWorkload(spec));
         std::ostringstream os;
-        tr.exportChromeJson(os);
+        obs.exportChromeJson(os);
         if (threads == 1) {
             refStats = rep.stats.toString();
             refTrace = os.str();

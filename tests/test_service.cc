@@ -1,10 +1,14 @@
-/** Tests for the multi-tenant serving layer (src/service). */
+/**
+ * Tests for the multi-tenant serving building blocks (src/service) and
+ * for serving on one device: the Server.* cases run a 1-device fleet
+ * (src/fleet) with free launches and no preemption.
+ */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "apps/benchmarks.h"
-#include "service/server.h"
+#include "fleet/fleet.h"
 
 namespace ipim {
 namespace {
@@ -18,15 +22,21 @@ twoCubes()
     return cfg;
 }
 
-ServerConfig
-smallServer(const std::string &policy, ShareMode share)
+/** A 1-device fleet in the plain single-device serving model: launches
+ *  cost no dispatcher cycles and nothing is preempted.  @p whole gives
+ *  every request the whole device; otherwise each cube is a slot. */
+FleetConfig
+smallServer(const std::string &policy, bool whole)
 {
-    ServerConfig cfg;
+    FleetConfig cfg;
     cfg.hw = twoCubes();
+    cfg.devices = 1;
     cfg.width = 64;
     cfg.height = 32;
     cfg.policy = policy;
-    cfg.share = share;
+    cfg.cubesPerRequest = whole ? cfg.hw.cubes : 1;
+    cfg.preempt = false;
+    cfg.launchOverheadCycles = 0;
     return cfg;
 }
 
@@ -345,16 +355,16 @@ TEST(Server, RunsAreDeterministicForOneSeed)
     spec.seed = 5;
     std::vector<ServeRequest> reqs = generatePoissonWorkload(spec);
 
-    ServerConfig cfg = smallServer("sjf", ShareMode::kPerCube);
-    ServeReport a = Server(cfg).run(reqs);
-    ServeReport b = Server(cfg).run(reqs);
+    FleetConfig cfg = smallServer("sjf", false);
+    FleetReport a = FleetServer(cfg).run(reqs);
+    FleetReport b = FleetServer(cfg).run(reqs);
     ASSERT_EQ(a.records.size(), b.records.size());
     for (size_t i = 0; i < a.records.size(); ++i) {
         EXPECT_EQ(a.records[i].id, b.records[i].id);
         EXPECT_EQ(a.records[i].start, b.records[i].start);
         EXPECT_EQ(a.records[i].finish, b.records[i].finish);
         EXPECT_EQ(a.records[i].execCycles, b.records[i].execCycles);
-        EXPECT_EQ(a.records[i].firstCube, b.records[i].firstCube);
+        EXPECT_EQ(a.records[i].slot, b.records[i].slot);
     }
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.stats.toString(), b.stats.toString());
@@ -367,14 +377,14 @@ TEST(Server, ProgramCacheHitsAreVisibleInStats)
     spec.ratePerSec = 100000;
     spec.requests = 12;
     spec.seed = 3;
-    ServerConfig cfg = smallServer("fifo", ShareMode::kPerCube);
-    ServeReport rep = Server(cfg).run(generatePoissonWorkload(spec));
+    FleetConfig cfg = smallServer("fifo", false);
+    FleetReport rep = FleetServer(cfg).run(generatePoissonWorkload(spec));
     // 12 requests over 2 pipelines on identical slot geometry: exactly
     // 2 compiles, everything else hits.
     EXPECT_EQ(rep.stats.get("serve.cache.miss"), 2.0);
     EXPECT_EQ(rep.stats.get("serve.cache.hit"), 10.0);
     u64 hits = 0;
-    for (const RequestRecord &r : rep.records)
+    for (const FleetRequestRecord &r : rep.records)
         hits += r.cacheHit;
     EXPECT_EQ(hits, 10u);
 }
@@ -383,7 +393,7 @@ TEST(Server, SpaceSharingBeatsWholeDeviceAtSaturation)
 {
     // Per-benchmark cube scaling is sublinear, so two 1-cube partitions
     // finish a saturating backlog sooner than one serialized 2-cube
-    // device (DESIGN.md Sec. 11).
+    // device (DESIGN.md Sec. 17).
     WorkloadSpec spec;
     spec.pipelines = {"Blur", "Brighten", "Shift"};
     spec.ratePerSec = 2e6; // effectively a pre-loaded backlog
@@ -391,13 +401,13 @@ TEST(Server, SpaceSharingBeatsWholeDeviceAtSaturation)
     spec.seed = 11;
     std::vector<ServeRequest> reqs = generatePoissonWorkload(spec);
 
-    ServeReport whole =
-        Server(smallServer("fifo", ShareMode::kWholeDevice)).run(reqs);
-    ServeReport shared =
-        Server(smallServer("sjf", ShareMode::kPerCube)).run(reqs);
+    FleetReport whole =
+        FleetServer(smallServer("fifo", true)).run(reqs);
+    FleetReport shared =
+        FleetServer(smallServer("sjf", false)).run(reqs);
     EXPECT_LT(shared.makespan, whole.makespan);
-    EXPECT_EQ(whole.stats.get("serve.slots"), 1.0);
-    EXPECT_EQ(shared.stats.get("serve.slots"), 2.0);
+    EXPECT_EQ(whole.stats.get("fleet.slotsPerDevice"), 1.0);
+    EXPECT_EQ(shared.stats.get("fleet.slotsPerDevice"), 2.0);
 }
 
 TEST(Server, ReportExportsLatencyPercentilesAndThroughput)
@@ -407,14 +417,14 @@ TEST(Server, ReportExportsLatencyPercentilesAndThroughput)
     spec.ratePerSec = 100000;
     spec.requests = 8;
     spec.seed = 2;
-    ServerConfig cfg = smallServer("fifo", ShareMode::kPerCube);
-    ServeReport rep = Server(cfg).run(generatePoissonWorkload(spec));
-    EXPECT_EQ(rep.stats.get("serve.requests"), 8.0);
-    EXPECT_EQ(rep.stats.get("serve.latency.total.count"), 8.0);
-    EXPECT_GT(rep.stats.get("serve.latency.total.p50"), 0.0);
-    EXPECT_GE(rep.stats.get("serve.latency.total.p99"),
-              rep.stats.get("serve.latency.total.p50"));
-    EXPECT_GT(rep.stats.get("serve.throughputRps"), 0.0);
+    FleetConfig cfg = smallServer("fifo", false);
+    FleetReport rep = FleetServer(cfg).run(generatePoissonWorkload(spec));
+    EXPECT_EQ(rep.stats.get("fleet.requests"), 8.0);
+    EXPECT_EQ(rep.stats.get("fleet.latency.total.count"), 8.0);
+    EXPECT_GT(rep.stats.get("fleet.latency.total.p50"), 0.0);
+    EXPECT_GE(rep.stats.get("fleet.latency.total.p99"),
+              rep.stats.get("fleet.latency.total.p50"));
+    EXPECT_GT(rep.stats.get("fleet.throughputRps"), 0.0);
     EXPECT_NEAR(rep.throughputRps(),
                 8.0 / (f64(rep.makespan) * 1e-9), 1e-6);
     // Device counters from the per-request runs are merged in.
@@ -423,10 +433,10 @@ TEST(Server, ReportExportsLatencyPercentilesAndThroughput)
 
 TEST(Server, RejectsPartitionThatDoesNotDivideCubes)
 {
-    ServerConfig cfg = smallServer("fifo", ShareMode::kPerCube);
+    FleetConfig cfg = smallServer("fifo", false);
     cfg.hw.cubes = 2;
     cfg.cubesPerRequest = 3;
-    EXPECT_THROW(Server{cfg}, FatalError);
+    EXPECT_THROW(FleetServer{cfg}, FatalError);
 }
 
 } // namespace

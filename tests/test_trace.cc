@@ -6,8 +6,9 @@
 #include <sstream>
 
 #include "apps/benchmarks.h"
+#include "fleet/fleet.h"
+#include "fleet/observer.h"
 #include "runtime/runtime.h"
-#include "service/server.h"
 #include "trace/report.h"
 #include "trace/trace.h"
 
@@ -259,59 +260,65 @@ TEST(TraceServe, RequestSpansArePairedAndOnVirtualTimeline)
 #ifdef IPIM_NO_TRACING
     GTEST_SKIP() << "tracing instrumentation compiled out";
 #endif
-    Tracer tracer;
-    tracer.setEnabled(true);
+    FleetObserverConfig oc;
+    oc.tracing = true;
+    FleetObserver obs(oc);
 
-    ServerConfig cfg;
+    FleetConfig cfg;
     cfg.hw = HardwareConfig::tiny();
     cfg.hw.cubes = 2;
+    cfg.devices = 1;
     cfg.width = 64;
     cfg.height = 32;
-    cfg.tracer = &tracer;
+    cfg.observer = &obs;
 
     WorkloadSpec spec;
     spec.pipelines = {"Brighten", "Shift"};
     spec.ratePerSec = 50000.0;
     spec.requests = 8;
     spec.seed = 3;
-    ServeReport rep = Server(cfg).run(generatePoissonWorkload(spec));
+    FleetReport rep = FleetServer(cfg).run(generatePoissonWorkload(spec));
     ASSERT_EQ(rep.records.size(), 8u);
 
-    u64 begins = countEvents(tracer, TraceKind::kAsyncBegin);
-    u64 ends = countEvents(tracer, TraceKind::kAsyncEnd);
-    EXPECT_EQ(begins, ends);
-    EXPECT_EQ(countEvents(tracer, TraceKind::kAsyncBegin,
+    // Request lifetimes live on the fleet tracer; queue/compile/execute
+    // spans, cache instants, and the slot devices' own tracks on the
+    // device tracer.
+    const Tracer &fleet = *obs.fleetTracer();
+    const Tracer &dev = *obs.deviceTracer(0);
+    for (const Tracer *tr : {&fleet, &dev})
+        EXPECT_EQ(countEvents(*tr, TraceKind::kAsyncBegin),
+                  countEvents(*tr, TraceKind::kAsyncEnd));
+    EXPECT_EQ(countEvents(fleet, TraceKind::kAsyncBegin,
                           TraceEv::kRequest),
               8u);
-    EXPECT_EQ(countEvents(tracer, TraceKind::kAsyncEnd,
+    EXPECT_EQ(countEvents(fleet, TraceKind::kAsyncEnd,
                           TraceEv::kRequest),
               8u);
     // Two distinct pipelines -> exactly two compile (cache-miss) spans.
-    EXPECT_EQ(countEvents(tracer, TraceKind::kAsyncBegin,
+    EXPECT_EQ(countEvents(dev, TraceKind::kAsyncBegin,
                           TraceEv::kReqCompile),
               2u);
-    EXPECT_EQ(countEvents(tracer, TraceKind::kInstant,
-                          TraceEv::kCacheMiss),
+    EXPECT_EQ(countEvents(dev, TraceKind::kInstant, TraceEv::kCacheMiss),
               2u);
-    EXPECT_EQ(countEvents(tracer, TraceKind::kInstant,
-                          TraceEv::kCacheHit),
+    EXPECT_EQ(countEvents(dev, TraceKind::kInstant, TraceEv::kCacheHit),
               6u);
 
-    // Request-end timestamps sit on the server's virtual timeline: the
+    // Request-end timestamps sit on the fleet's virtual timeline: the
     // latest one is exactly the makespan, and device events (mapped via
-    // the per-launch time offset) never run past it.
+    // the per-kernel time offset) never run past it.
     Cycle lastEnd = 0;
-    for (const TraceEvent &ev : tracer.sortedEvents())
+    for (const TraceEvent &ev : fleet.sortedEvents())
         if (ev.kind == TraceKind::kAsyncEnd &&
             ev.name == TraceEv::kRequest)
             lastEnd = std::max(lastEnd, ev.ts);
     EXPECT_EQ(lastEnd, rep.makespan);
-    for (const TraceEvent &ev : tracer.sortedEvents())
-        EXPECT_LE(ev.ts, rep.makespan);
+    for (const Tracer *tr : {&fleet, &dev})
+        for (const TraceEvent &ev : tr->sortedEvents())
+            EXPECT_LE(ev.ts, rep.makespan);
 
     // Slot devices registered their tracks under slot prefixes.
     bool sawSlot = false;
-    for (const std::string &t : tracer.trackNames())
+    for (const std::string &t : dev.trackNames())
         if (t.rfind("slot", 0) == 0)
             sawSlot = true;
     EXPECT_TRUE(sawSlot);
@@ -320,22 +327,24 @@ TEST(TraceServe, RequestSpansArePairedAndOnVirtualTimeline)
 TEST(TraceServe, ServeTraceIsDeterministic)
 {
     auto serveOnce = [](std::string *json) {
-        Tracer tracer;
-        tracer.setEnabled(true);
-        ServerConfig cfg;
+        FleetObserverConfig oc;
+        oc.tracing = true;
+        FleetObserver obs(oc);
+        FleetConfig cfg;
         cfg.hw = HardwareConfig::tiny();
         cfg.hw.cubes = 2;
+        cfg.devices = 1;
         cfg.width = 64;
         cfg.height = 32;
-        cfg.tracer = &tracer;
+        cfg.observer = &obs;
         WorkloadSpec spec;
         spec.pipelines = {"Brighten"};
         spec.ratePerSec = 50000.0;
         spec.requests = 6;
         spec.seed = 11;
-        Server(cfg).run(generatePoissonWorkload(spec));
+        FleetServer(cfg).run(generatePoissonWorkload(spec));
         std::ostringstream os;
-        tracer.exportChromeJson(os);
+        obs.exportChromeJson(os);
         *json = os.str();
     };
     std::string a, b;

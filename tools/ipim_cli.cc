@@ -8,8 +8,9 @@
  * SIMB program verifier (src/verify) instead of the simulator.
  *
  * The `serve` subcommand runs the multi-tenant serving layer
- * (src/service): an open-loop Poisson request stream scheduled onto the
- * device through the compiled-program cache.
+ * (src/fleet): an open-loop request stream routed across one or more
+ * devices and scheduled onto their cube partitions through the
+ * compiled-program cache.
  *
  * Examples:
  *   ipim --list
@@ -53,7 +54,6 @@
 #include "fleet/events.h"
 #include "fleet/fleet.h"
 #include "fleet/observer.h"
-#include "service/server.h"
 #include "trace/report.h"
 #include "trace/trace.h"
 #include "verify/verifier.h"
@@ -109,10 +109,8 @@ struct Options
     u32 requests = 200;
     u64 seed = 1;
     std::string servePolicy = "fifo";
-    std::string share = "cube";
     u32 cubesPerReq = 1;
-    // fleet serving (serve --devices N routes to the fleet layer):
-    u32 fleetDevices = 0; ///< 0 = single-device Server path
+    u32 fleetDevices = 1; ///< --devices N
     std::string routerPolicy = "rr";
     bool batch = false;
     u32 maxBatch = 0;
@@ -153,7 +151,7 @@ usage()
         "            [device/compiler flags as above]\n"
         "       ipim serve [--bench NAME[,NAME...]] [--rate R]\n"
         "            [--requests N] [--sched fifo|sjf]\n"
-        "            [--share cube|whole] [--cubes-per-req K] [--seed S]\n"
+        "            [--cubes-per-req K] [--seed S]\n"
         "            [--json] [--trace FILE] [--prom FILE]\n"
         "            [--backend cycle|func]\n"
         "            [--devices N] [--router rr|least|hash|affinity]\n"
@@ -195,15 +193,18 @@ usage()
         "  the sampled time series (DESIGN.md Sec. 14).\n"
         "  serve --prom FILE writes a Prometheus text-exposition\n"
         "  snapshot of the serving SLOs.\n"
-        "  serve --devices N runs the fleet layer (DESIGN.md Sec. 17):\n"
-        "  N independent devices behind a router, with per-tenant\n"
-        "  weighted fair share, priority preemption at kernel\n"
+        "  serve runs the fleet layer (DESIGN.md Sec. 17): --devices N\n"
+        "  (default 1) independent devices behind a router, with\n"
+        "  per-tenant weighted fair share, priority preemption at kernel\n"
         "  boundaries, optional cross-request batching (--batch), and\n"
         "  p99-driven load shedding (--shed-p99-ms); --json emits the\n"
-        "  ipim-serve-fleet-v1 schema.\n"
-        "  Fleet observability (DESIGN.md Sec. 19): with --devices,\n"
-        "  --trace FILE writes one merged multi-process Chrome trace\n"
-        "  (pid 0 = fleet, pid 1+d = device d), --events FILE writes\n"
+        "  ipim-serve-fleet-v1 schema.  --cubes-per-req K splits each\n"
+        "  device into cubes/K partition slots (K = --cubes serves every\n"
+        "  request on the whole device).  --launch-overhead 0 charges no\n"
+        "  per-launch dispatcher cycles, the plain single-device model.\n"
+        "  Fleet observability (DESIGN.md Sec. 19): --trace FILE writes\n"
+        "  one merged multi-process Chrome trace (pid 0 = fleet,\n"
+        "  pid 1+d = device d), --events FILE writes\n"
         "  the ipim-fleet-events-v1 decision log (JSONL: routing, shed,\n"
         "  batch, dispatch, preempt, complete records), and\n"
         "  --metrics FILE writes the per-slot sampled time series on\n"
@@ -707,7 +708,7 @@ parseTenants(const std::string &arg)
     return tenants;
 }
 
-/** Build the load-generator spec shared by both serve paths. */
+/** Build the serve command's load-generator spec. */
 WorkloadSpec
 buildWorkload(const Options &o)
 {
@@ -727,9 +728,10 @@ buildWorkload(const Options &o)
     return spec;
 }
 
-/** The `ipim serve --devices N` path: the src/fleet layer. */
+/** The `ipim serve` subcommand: the src/fleet event loop, on one
+ *  device unless --devices says otherwise. */
 int
-runServeFleetCommand(const Options &o)
+runServeCommand(const Options &o)
 {
     FleetConfig fc;
     fc.hw = buildConfig(o);
@@ -871,167 +873,12 @@ runExplainCommand(const Options &o)
         fatal("explain needs --req ID");
     if (o.eventsFile.empty())
         fatal("explain needs --events FILE (written by "
-              "`ipim serve --devices N --events FILE`)");
+              "`ipim serve --events FILE`)");
     std::ifstream in(o.eventsFile, std::ios::binary);
     if (!in)
         fatal("cannot open events file ", o.eventsFile);
     std::vector<FleetEvent> events = loadFleetEvents(in);
     std::printf("%s", explainRequest(events, o.explainReq).c_str());
-    return 0;
-}
-
-/** The `ipim serve` subcommand: the src/service event loop. */
-int
-runServeCommand(const Options &o)
-{
-    if (o.fleetDevices > 0)
-        return runServeFleetCommand(o);
-    ServerConfig scfg;
-    scfg.hw = buildConfig(o);
-    scfg.width = o.width;
-    scfg.height = o.height;
-    scfg.copts = parseOpts(o.opts);
-    scfg.policy = o.servePolicy;
-    if (o.share == "cube")
-        scfg.share = ShareMode::kPerCube;
-    else if (o.share == "whole")
-        scfg.share = ShareMode::kWholeDevice;
-    else
-        fatal("unknown --share value '", o.share, "' (want cube|whole)");
-    scfg.cubesPerRequest = o.cubesPerReq;
-    scfg.fastForward = o.fastForward;
-    scfg.threads = o.threads;
-    scfg.backend = o.backend;
-
-    WorkloadSpec spec = buildWorkload(o);
-    std::vector<ServeRequest> reqs = generateWorkload(spec);
-
-    std::unique_ptr<Tracer> tracer;
-    if (!o.traceFile.empty()) {
-        tracer = std::make_unique<Tracer>();
-        tracer->setEnabled(true);
-        scfg.tracer = tracer.get();
-    }
-
-    Server server(scfg);
-    ServeReport rep = server.run(reqs);
-
-    if (tracer)
-        writeChromeTrace(*tracer, o.traceFile);
-
-    if (!o.promFile.empty()) {
-        std::ofstream prom(o.promFile, std::ios::binary);
-        if (!prom)
-            fatal("cannot open ", o.promFile);
-        prom << rep.prometheusText();
-        if (!prom)
-            fatal("failed writing Prometheus snapshot to ", o.promFile);
-    }
-
-    if (o.json) {
-        JsonWriter j;
-        j.key("config").beginObject();
-        j.field("policy", scfg.policy)
-            .field("backend", scfg.backend)
-            .field("share", o.share)
-            .field("cubes", scfg.hw.cubes)
-            .field("cubes_per_request", scfg.cubesPerRequest)
-            .field("slots", server.slots())
-            .field("vaults", scfg.hw.vaultsPerCube)
-            .field("pgs", scfg.hw.pgsPerVault)
-            .field("pes", scfg.hw.pesPerPg)
-            .field("width", scfg.width)
-            .field("height", scfg.height)
-            .field("rate_rps", spec.ratePerSec)
-            .field("requests", u64(spec.requests))
-            .field("seed", spec.seed)
-            .field("opts", o.opts);
-        j.endObject();
-        j.field("throughput_rps", rep.throughputRps());
-        j.field("makespan_cycles", u64(rep.makespan));
-        auto lat = [&](const char *k, const LatencyHistogram &h) {
-            j.key(k).beginObject();
-            j.field("p50", h.percentile(50))
-                .field("p95", h.percentile(95))
-                .field("p99", h.percentile(99))
-                .field("mean", h.mean())
-                .field("max", h.max());
-            j.endObject();
-        };
-        j.key("latency_cycles").beginObject();
-        lat("total", rep.totalLatency);
-        lat("queue", rep.queueLatency);
-        lat("exec", rep.execLatency);
-        j.endObject();
-        j.key("cache").beginObject();
-        j.field("compiles", u64(rep.stats.get("serve.cache.miss")))
-            .field("hits", u64(rep.stats.get("serve.cache.hit")));
-        j.endObject();
-        // Rolling-window SLO metrics (DESIGN.md Sec. 14).
-        j.key("slo");
-        rep.slo.toJson(j, rep.makespan);
-        // Static-estimator accuracy vs measured cycles (cycle backend
-        // only; the functional backend has no measurement to compare).
-        j.key("estimator").beginObject();
-        j.field("samples", rep.estimatorSamples)
-            .field("mean_abs_rel_err", rep.estimatorMeanAbsRelErr)
-            .field("max_abs_rel_err", rep.estimatorMaxAbsRelErr);
-        j.endObject();
-        // Derived device telemetry over the merged per-request stats
-        // (no trace parsing needed; see also `ipim trace`).
-        j.key("telemetry").beginObject();
-        f64 rowHit = rep.stats.get("dram.rowHit");
-        f64 rowMiss = rep.stats.get("dram.rowMiss");
-        j.field("row_hit_rate",
-                rowHit / std::max(1.0, rowHit + rowMiss));
-        f64 devCycles = rep.stats.get("sim.cycles");
-        j.field("noc_moves_per_cycle",
-                (rep.stats.get("noc.hops") +
-                 rep.stats.get("noc.delivered")) /
-                    std::max(1.0, devCycles));
-        j.field("avg_vault_ipc", rep.stats.get("core.issued") /
-                                     std::max(1.0,
-                                              rep.stats.get("core.cycles")));
-        j.field("device_busy_cycles", u64(devCycles));
-        j.endObject();
-        j.key("fast_forward").beginObject();
-        j.field("enabled", o.fastForward)
-            .field("skipped_cycles", rep.ffwdSkippedCycles)
-            .field("jumps", rep.ffwdJumps);
-        j.endObject();
-        j.field("threads", o.threads);
-        j.key("requests").beginArray();
-        for (const RequestRecord &r : rep.records) {
-            j.beginObject();
-            j.field("id", r.id)
-                .field("pipeline", r.pipeline)
-                .field("arrival", u64(r.arrival))
-                .field("start", u64(r.start))
-                .field("finish", u64(r.finish))
-                .field("exec_cycles", u64(r.execCycles))
-                .field("compile_cycles", u64(r.compileCycles))
-                .field("first_cube", r.firstCube)
-                .field("num_cubes", r.numCubes)
-                .field("cache_hit", r.cacheHit);
-            j.endObject();
-        }
-        j.endArray();
-        j.statsObject("stats", rep.stats);
-        std::printf("%s\n", j.finish().c_str());
-        return 0;
-    }
-
-    std::printf("serve %s | device %ux%ux%ux%u | backend %s | policy %s "
-                "| share %s (%u slot%s) | rate %.0f req/s | seed %llu\n",
-                o.bench.c_str(), scfg.hw.cubes, scfg.hw.vaultsPerCube,
-                scfg.hw.pgsPerVault, scfg.hw.pesPerPg,
-                scfg.backend.c_str(), scfg.policy.c_str(),
-                o.share.c_str(), server.slots(),
-                server.slots() == 1 ? "" : "s", spec.ratePerSec,
-                (unsigned long long)spec.seed);
-    std::printf("%s", rep.summary().c_str());
-    if (!o.promFile.empty())
-        std::printf("Prometheus snapshot -> %s\n", o.promFile.c_str());
     return 0;
 }
 
@@ -1129,8 +976,6 @@ main(int argc, char **argv)
             o.requests = u32(std::stoul(next()));
         else if (a == "--seed")
             o.seed = std::stoull(next());
-        else if (a == "--share")
-            o.share = next();
         else if (a == "--cubes-per-req")
             o.cubesPerReq = u32(std::stoul(next()));
         else if (a == "--devices")
