@@ -7,14 +7,10 @@ namespace ipim {
 int
 ProgramAnalysis::segmentOf(u32 instIdx) const
 {
-    int seg = 0;
-    for (const auto &[idx, phase] : syncs) {
-        if (idx < instIdx)
-            ++seg;
-        else
-            break;
-    }
-    return seg;
+    auto it = std::lower_bound(
+        syncs.begin(), syncs.end(), instIdx,
+        [](const std::pair<u32, u32> &s, u32 i) { return s.first < i; });
+    return int(it - syncs.begin());
 }
 
 ProgramAnalysis
@@ -22,8 +18,17 @@ analyzeProgram(const HardwareConfig &hw,
                const std::vector<Instruction> &prog, int chip,
                int vaultInCube)
 {
+    return analyzeProgram(hw, std::make_unique<Cfg>(Cfg::build(prog)),
+                          chip, vaultInCube);
+}
+
+ProgramAnalysis
+analyzeProgram(const HardwareConfig &hw, std::unique_ptr<Cfg> cfg,
+               int chip, int vaultInCube)
+{
     ProgramAnalysis pa;
-    pa.cfg = std::make_unique<Cfg>(Cfg::build(prog));
+    pa.cfg = std::move(cfg);
+    const std::vector<Instruction> &prog = pa.cfg->prog();
 
     CrfConstProp cp = runCrfConstProp(hw, *pa.cfg);
     deriveTripCounts(hw, *pa.cfg, cp);

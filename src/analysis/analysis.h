@@ -54,6 +54,11 @@ ProgramAnalysis analyzeProgram(const HardwareConfig &hw,
                                const std::vector<Instruction> &prog,
                                int chip = -1, int vaultInCube = -1);
 
+/** The same pipeline over an already built graph (Cfg::build). */
+ProgramAnalysis analyzeProgram(const HardwareConfig &hw,
+                               std::unique_ptr<Cfg> cfg, int chip = -1,
+                               int vaultInCube = -1);
+
 } // namespace ipim
 
 #endif // IPIM_ANALYSIS_ANALYSIS_H_

@@ -1,7 +1,6 @@
 #include "analysis/cfg.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "common/logging.h"
@@ -24,30 +23,36 @@ isBranch(const Instruction &inst)
 }
 
 /**
- * The reaching definition of branch-target register @p reg at @p branch:
- * the last seti_crf/calc_crf writing it in program order.  Returns the
- * resolved instruction index, or -1 when the target is dynamic
- * (calc_crf), missing, or out of range.  Mirrors the verifier's V08
- * reaching-definition convention: physical CRF registers are reused
- * after coloring, so only the last write may be judged.
+ * The reaching definition of every branch's target register: the last
+ * seti_crf/calc_crf writing it in program order.  Returns, per
+ * instruction, the resolved target index for a branch, or -1 when the
+ * target is dynamic (calc_crf), missing, or out of range (and for every
+ * non-branch).  Mirrors the verifier's V08 reaching-definition
+ * convention: physical CRF registers are reused after coloring, so only
+ * the last write may be judged.
  */
-int
-resolveTarget(const std::vector<Instruction> &prog, size_t branch,
-              u16 reg)
+std::vector<int>
+resolveTargets(const std::vector<Instruction> &prog)
 {
-    for (size_t j = branch; j-- > 0;) {
-        const Instruction &inst = prog[j];
+    std::vector<int> targets(prog.size(), -1);
+    std::vector<int> lastDef; // per CRF register, the target it holds
+    for (size_t i = 0; i < prog.size(); ++i) {
+        const Instruction &inst = prog[i];
         if (!validOp(inst))
             continue;
-        if (inst.op == Opcode::kSetiCrf && inst.dst == reg) {
-            if (inst.imm < 0 || u64(inst.imm) >= prog.size())
-                return -1;
-            return int(inst.imm);
+        if (isBranch(inst)) {
+            if (inst.dst < lastDef.size())
+                targets[i] = lastDef[inst.dst];
+        } else if (inst.op == Opcode::kSetiCrf ||
+                   inst.op == Opcode::kCalcCrf) {
+            if (inst.dst >= lastDef.size())
+                lastDef.resize(size_t(inst.dst) + 1, -1);
+            bool inRange = inst.op == Opcode::kSetiCrf && inst.imm >= 0 &&
+                           u64(inst.imm) < prog.size();
+            lastDef[inst.dst] = inRange ? int(inst.imm) : -1;
         }
-        if (inst.op == Opcode::kCalcCrf && inst.dst == reg)
-            return -1;
     }
-    return -1;
+    return targets;
 }
 
 } // namespace
@@ -67,38 +72,41 @@ Cfg::build(const std::vector<Instruction> &prog)
         return g;
 
     // ---- leaders ----
-    std::set<u32> leaders{0};
+    std::vector<int> targets = resolveTargets(prog);
+    std::vector<bool> leader(prog.size(), false);
+    leader[0] = true;
     for (size_t i = 0; i < prog.size(); ++i) {
         const Instruction &inst = prog[i];
         if (!validOp(inst))
             continue;
         if (isBranch(inst)) {
-            int tgt = resolveTarget(prog, i, inst.dst);
-            if (tgt >= 0)
-                leaders.insert(u32(tgt));
+            if (targets[i] >= 0)
+                leader[size_t(targets[i])] = true;
             if (i + 1 < prog.size())
-                leaders.insert(u32(i + 1));
+                leader[i + 1] = true;
         } else if (inst.op == Opcode::kHalt ||
                    inst.op == Opcode::kSync) {
             // halt ends control flow; sync is kept a block terminator so
             // sync-phase segments align with block boundaries.
             if (i + 1 < prog.size())
-                leaders.insert(u32(i + 1));
+                leader[i + 1] = true;
         }
     }
 
     // ---- blocks ----
     g.blockOf_.assign(prog.size(), -1);
-    for (auto it = leaders.begin(); it != leaders.end(); ++it) {
-        auto next = std::next(it);
+    for (u32 first = 0; first < prog.size();) {
+        u32 next = first + 1;
+        while (next < prog.size() && !leader[next])
+            ++next;
         BasicBlock bb;
         bb.id = int(g.blocks_.size());
-        bb.first = *it;
-        bb.last = next == leaders.end() ? u32(prog.size() - 1)
-                                        : u32(*next - 1);
-        for (u32 i = bb.first; i <= bb.last; ++i)
-            g.blockOf_[i] = bb.id;
+        bb.first = first;
+        bb.last = next - 1;
+        std::fill(g.blockOf_.begin() + first, g.blockOf_.begin() + next,
+                  bb.id);
         g.blocks_.push_back(std::move(bb));
+        first = next;
     }
 
     // ---- edges ----
@@ -111,7 +119,7 @@ Cfg::build(const std::vector<Instruction> &prog)
         bool fallsThrough = true;
         if (isBranch(term)) {
             fallsThrough = term.op == Opcode::kCjump;
-            int tgt = resolveTarget(prog, bb.last, term.dst);
+            int tgt = targets[bb.last];
             if (tgt >= 0) {
                 addEdge(bb.id, g.blockOf_[size_t(tgt)]);
             } else {
@@ -229,7 +237,10 @@ Cfg::findLoops()
     }
 
     std::vector<int> headerLoop(blocks_.size(), -1);
-    for (auto [latch, header] : backEdges) {
+    // mark[b] == e: block b is in the body being built for back edge e.
+    std::vector<int> mark(blocks_.size(), -1);
+    for (size_t e = 0; e < backEdges.size(); ++e) {
+        auto [latch, header] = backEdges[e];
         int li = headerLoop[size_t(header)];
         if (li < 0) {
             li = int(loops_.size());
@@ -241,34 +252,41 @@ Cfg::findLoops()
         NaturalLoop &loop = loops_[size_t(li)];
         loop.latches.push_back(latch);
         // Body: blocks reaching the latch backwards without crossing
-        // the header (which is already in `body`, stopping the walk).
+        // the header (which is already in the body, stopping the walk).
+        for (int b : loop.blocks)
+            mark[size_t(b)] = int(e);
         std::vector<int> stack{latch};
-        std::set<int> body(loop.blocks.begin(), loop.blocks.end());
+        size_t known = loop.blocks.size();
         while (!stack.empty()) {
             int b = stack.back();
             stack.pop_back();
-            if (!body.insert(b).second)
+            if (mark[size_t(b)] == int(e))
                 continue;
+            mark[size_t(b)] = int(e);
+            loop.blocks.push_back(b);
             for (int p : blocks_[size_t(b)].preds)
                 stack.push_back(p);
         }
-        loop.blocks.assign(body.begin(), body.end());
+        if (loop.blocks.size() != known)
+            std::sort(loop.blocks.begin(), loop.blocks.end());
     }
+    buildLoopTable();
 
     // Nesting: the parent of L is the smallest other loop containing
-    // L's header.
-    for (size_t i = 0; i < loops_.size(); ++i) {
-        size_t best = loops_.size();
-        for (size_t j = 0; j < loops_.size(); ++j) {
-            if (j == i || !loops_[j].contains(loops_[i].header))
-                continue;
-            if (loops_[j].blocks.size() <= loops_[i].blocks.size())
+    // L's header (the lowest index among equals).
+    for (NaturalLoop &loop : loops_) {
+        loop.parent = -1;
+        size_t h = size_t(loop.header);
+        for (int k = blockLoopsBegin_[h]; k < blockLoopsBegin_[h + 1];
+             ++k) {
+            const NaturalLoop &other = loops_[size_t(blockLoops_[k])];
+            if (other.blocks.size() <= loop.blocks.size())
                 continue; // equal-size would be the loop itself
-            if (best == loops_.size() ||
-                loops_[j].blocks.size() < loops_[best].blocks.size())
-                best = j;
+            if (loop.parent < 0 ||
+                other.blocks.size() <
+                    loops_[size_t(loop.parent)].blocks.size())
+                loop.parent = blockLoops_[k];
         }
-        loops_[i].parent = best == loops_.size() ? -1 : int(best);
     }
     for (NaturalLoop &loop : loops_) {
         loop.depth = 1;
@@ -277,37 +295,41 @@ Cfg::findLoops()
     }
 }
 
-int
-Cfg::innermostLoop(int blockId) const
+void
+Cfg::buildLoopTable()
 {
-    int best = -1;
-    for (size_t i = 0; i < loops_.size(); ++i) {
-        if (!loops_[i].contains(blockId))
-            continue;
-        if (best < 0 ||
-            loops_[i].blocks.size() < loops_[size_t(best)].blocks.size())
-            best = int(i);
-    }
-    return best;
-}
-
-int
-Cfg::loopDepth(int blockId) const
-{
-    int depth = 0;
+    const size_t n = blocks_.size();
+    blockLoopsBegin_.assign(n + 1, 0);
     for (const NaturalLoop &loop : loops_)
-        if (loop.contains(blockId))
-            ++depth;
-    return depth;
+        for (int b : loop.blocks)
+            ++blockLoopsBegin_[size_t(b) + 1];
+    for (size_t b = 0; b < n; ++b)
+        blockLoopsBegin_[b + 1] += blockLoopsBegin_[b];
+    blockLoops_.resize(size_t(blockLoopsBegin_[n]));
+    std::vector<int> fill(blockLoopsBegin_.begin(),
+                          blockLoopsBegin_.end() - 1);
+    innermost_.assign(n, -1);
+    for (size_t li = 0; li < loops_.size(); ++li) {
+        for (int b : loops_[li].blocks) {
+            blockLoops_[size_t(fill[size_t(b)]++)] = int(li);
+            int &best = innermost_[size_t(b)];
+            if (best < 0 ||
+                loops_[li].blocks.size() < loops_[size_t(best)].blocks.size())
+                best = int(li);
+        }
+    }
 }
 
 f64
 Cfg::frequency(int blockId) const
 {
     f64 freq = 1.0;
-    for (const NaturalLoop &loop : loops_)
-        if (loop.contains(blockId) && loop.tripCount > 0)
-            freq *= f64(loop.tripCount);
+    for (int k = blockLoopsBegin_[size_t(blockId)];
+         k < blockLoopsBegin_[size_t(blockId) + 1]; ++k) {
+        i64 trips = loops_[size_t(blockLoops_[size_t(k)])].tripCount;
+        if (trips > 0)
+            freq *= f64(trips);
+    }
     return freq;
 }
 

@@ -96,11 +96,22 @@ class Cfg
     const std::vector<NaturalLoop> &loops() const { return loops_; }
     std::vector<NaturalLoop> &loops() { return loops_; }
 
-    /** Innermost loop containing @p blockId, -1 when outside loops. */
-    int innermostLoop(int blockId) const;
+    /**
+     * Innermost loop containing @p blockId, -1 when outside loops: the
+     * one with the fewest blocks, the lowest loop index among equals.
+     */
+    int innermostLoop(int blockId) const
+    {
+        return innermost_[size_t(blockId)];
+    }
 
     /** Loop nesting depth of a block (0 = not in any loop). */
-    int loopDepth(int blockId) const;
+    int
+    loopDepth(int blockId) const
+    {
+        return blockLoopsBegin_[size_t(blockId) + 1] -
+               blockLoopsBegin_[size_t(blockId)];
+    }
 
     /**
      * Static execution count of a block: the product of the trip
@@ -121,9 +132,17 @@ class Cfg
     std::vector<NaturalLoop> loops_;
     bool targetsResolved_ = true;
 
+    /// Per-block loop table, built once with the loops: the indices of
+    /// the loops containing block b, ascending, are
+    /// blockLoops_[blockLoopsBegin_[b] .. blockLoopsBegin_[b + 1]).
+    std::vector<int> blockLoopsBegin_;
+    std::vector<int> blockLoops_;
+    std::vector<int> innermost_; ///< innermostLoop() per block
+
     void computeRpo();
     void computeDominators();
     void findLoops();
+    void buildLoopTable();
 };
 
 } // namespace ipim

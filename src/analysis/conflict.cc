@@ -108,11 +108,11 @@ strideLatticeDisjoint(i64 loA, i64 loB, i64 step, i64 width)
  * lattice {lo + k*s : 0 <= k < trips} + [0, width): the per-iteration
  * step is known and the extent span equals width + (trips-1)*s, so no
  * other variation (outer loop, identity range) contributes.  s = 0
- * means a single slot.
+ * means a single slot.  @p li is i's innermost loop (-1 for none).
  */
 bool
-latticeFootprint(const ProgramAnalysis &pa, u32 i, i64 width, i64 &lo,
-                 i64 &s)
+latticeFootprint(const ProgramAnalysis &pa, u32 i, int li, i64 width,
+                 i64 &lo, i64 &s)
 {
     const InstMemAccess &acc = pa.extents[i];
     if (acc.vsmWrite.kind != Extent::kKnown)
@@ -120,7 +120,6 @@ latticeFootprint(const ProgramAnalysis &pa, u32 i, i64 width, i64 &lo,
     lo = i64(acc.vsmWrite.lo);
     i64 span = i64(acc.vsmWrite.hi) - lo;
     const Cfg &cfg = *pa.cfg;
-    int li = cfg.innermostLoop(cfg.blockOf(i));
     if (li < 0) {
         s = 0;
         return span == width;
@@ -140,22 +139,44 @@ checkStagingConflicts(const ProgramAnalysis &pa, const VaultIndex &vi,
                       int vault, ConflictReport &rep)
 {
     const Cfg &cfg = *pa.cfg;
-    auto innermost = [&](u32 i) {
-        return cfg.innermostLoop(cfg.blockOf(i));
+    std::vector<std::pair<u32, u32>> spans; // per loop, filled on demand
+    auto span = [&](int li) {
+        if (spans.empty())
+            for (const NaturalLoop &loop : cfg.loops())
+                spans.push_back(loopSpan(cfg, loop));
+        return spans[size_t(li)];
     };
+
+    /// What the pair test needs of one writer, computed once.
+    struct Writer
+    {
+        int loop;     ///< innermost loop, -1 outside loops
+        bool lattice; ///< footprint is the exact lattice lo + k*s
+        i64 lo = 0, s = 0;
+    };
+    const i64 w = i64(kVectorBytes);
+    std::vector<Writer> facts;
+    std::vector<size_t> reqAt; // positions of a segment's req writers
 
     for (size_t seg = 0; seg < vi.vsmWriters.size(); ++seg) {
         const std::vector<u32> &ws = vi.vsmWriters[seg];
+        facts.clear();
+        for (u32 i : ws) {
+            Writer f{cfg.innermostLoop(cfg.blockOf(i)), false};
+            f.lattice = latticeFootprint(pa, i, f.loop, w, f.lo, f.s);
+            facts.push_back(f);
+        }
 
         // Self-overlap: a req re-staging into the same (or an
         // overlapping) VSM slot on every loop iteration, with no
         // ordering read inside the loop.  Responses land on arrival,
         // so the last arrival wins nondeterministically.
-        for (u32 i : ws) {
+        for (size_t a = 0; a < ws.size(); ++a) {
+            u32 i = ws[a];
             const InstMemAccess &acc = pa.extents[i];
             if (!acc.isReq)
                 continue;
-            int li = innermost(i);
+            int li = facts[a].loop;
             if (li < 0)
                 continue;
             const NaturalLoop &loop = cfg.loops()[size_t(li)];
@@ -174,7 +195,7 @@ checkStagingConflicts(const ProgramAnalysis &pa, const VaultIndex &vi,
                 ++rep.stats.provenDisjoint;
                 continue;
             }
-            auto [slo, shi] = loopSpan(cfg, loop);
+            auto [slo, shi] = span(li);
             if (readerBetween(vi, slo == 0 ? 0 : slo - 1, shi + 1)) {
                 ++rep.stats.provenDisjoint; // ordered, not racy
                 continue;
@@ -191,66 +212,72 @@ checkStagingConflicts(const ProgramAnalysis &pa, const VaultIndex &vi,
                  vault, int(i), int(seg), os.str()});
         }
 
-        // Pairwise: req-involved VSM writer pairs.
-        for (size_t a = 0; a < ws.size(); ++a) {
-            for (size_t b = a + 1; b < ws.size(); ++b) {
-                u32 i = ws[a], j = ws[b];
-                const InstMemAccess &ai = pa.extents[i];
-                const InstMemAccess &aj = pa.extents[j];
-                if (!ai.isReq && !aj.isReq)
-                    continue; // synchronous writers stay ordered
-                ++rep.stats.pairsChecked;
-                if (ai.vsmWrite.kind == Extent::kUnknown ||
-                    aj.vsmWrite.kind == Extent::kUnknown) {
-                    ++rep.stats.unproved;
-                    continue;
-                }
-                int li = innermost(i), lj = innermost(j);
-                bool sameLoop = li >= 0 && li == lj;
-                // Equal-stride lattice footprints (same loop or not)
-                // may interleave disjointly even though their
-                // whole-extent hulls overlap.
-                i64 loA, sA, loB, sB;
-                const i64 w = i64(kVectorBytes);
-                if (latticeFootprint(pa, i, w, loA, sA) &&
-                    latticeFootprint(pa, j, w, loB, sB) &&
-                    (sA == sB || sA == 0 || sB == 0) &&
-                    strideLatticeDisjoint(loA, loB,
-                                          sA ? sA : sB, w)) {
-                    ++rep.stats.provenDisjoint;
-                    continue;
-                }
-                if (!Extent::provenOverlap(ai.vsmWrite, aj.vsmWrite)) {
-                    ++rep.stats.provenDisjoint;
-                    continue;
-                }
-                bool ordered = readerBetween(vi, i, j);
-                if (ordered && sameLoop) {
-                    // Iterations wrap: writer j of one iteration still
-                    // races writer i of the next unless a reader also
-                    // sits on the wrap-around path.
-                    auto [slo, shi] =
-                        loopSpan(cfg, cfg.loops()[size_t(li)]);
-                    ordered = readerBetween(vi, j, shi + 1) ||
-                              readerBetween(vi, slo == 0 ? 0 : slo - 1,
-                                            i);
-                }
-                if (ordered) {
-                    ++rep.stats.provenDisjoint;
-                    continue;
-                }
-                std::ostringstream os;
-                os << "VSM write " << extentStr(ai.vsmWrite)
-                   << " (inst " << i << ") overlaps VSM write "
-                   << extentStr(aj.vsmWrite) << " (inst " << j
-                   << ") in sync segment " << seg
-                   << " with no ordering rd_vsm in between, and at "
-                      "least one side is an asynchronously arriving "
-                      "req response";
-                rep.findings.push_back(
-                    {ConflictFinding::Kind::kStagingOverlap, vault,
-                     int(i), vault, int(j), int(seg), os.str()});
+        // Pairwise: req-involved VSM writer pairs, in (a, b) order.
+        // Two synchronous writers stay ordered, so a non-req writer
+        // only pairs with the req writers after it.
+        auto checkPair = [&](size_t a, size_t b) {
+            u32 i = ws[a], j = ws[b];
+            const InstMemAccess &ai = pa.extents[i];
+            const InstMemAccess &aj = pa.extents[j];
+            ++rep.stats.pairsChecked;
+            if (ai.vsmWrite.kind == Extent::kUnknown ||
+                aj.vsmWrite.kind == Extent::kUnknown) {
+                ++rep.stats.unproved;
+                return;
             }
+            const Writer &fa = facts[a], &fb = facts[b];
+            int li = fa.loop;
+            bool sameLoop = li >= 0 && li == fb.loop;
+            // Equal-stride lattice footprints (same loop or not) may
+            // interleave disjointly even though their whole-extent
+            // hulls overlap.
+            if (fa.lattice && fb.lattice &&
+                (fa.s == fb.s || fa.s == 0 || fb.s == 0) &&
+                strideLatticeDisjoint(fa.lo, fb.lo, fa.s ? fa.s : fb.s,
+                                      w)) {
+                ++rep.stats.provenDisjoint;
+                return;
+            }
+            if (!Extent::provenOverlap(ai.vsmWrite, aj.vsmWrite)) {
+                ++rep.stats.provenDisjoint;
+                return;
+            }
+            bool ordered = readerBetween(vi, i, j);
+            if (ordered && sameLoop) {
+                // Iterations wrap: writer j of one iteration still
+                // races writer i of the next unless a reader also sits
+                // on the wrap-around path.
+                auto [slo, shi] = span(li);
+                ordered = readerBetween(vi, j, shi + 1) ||
+                          readerBetween(vi, slo == 0 ? 0 : slo - 1, i);
+            }
+            if (ordered) {
+                ++rep.stats.provenDisjoint;
+                return;
+            }
+            std::ostringstream os;
+            os << "VSM write " << extentStr(ai.vsmWrite) << " (inst " << i
+               << ") overlaps VSM write " << extentStr(aj.vsmWrite)
+               << " (inst " << j << ") in sync segment " << seg
+               << " with no ordering rd_vsm in between, and at least one "
+                  "side is an asynchronously arriving req response";
+            rep.findings.push_back({ConflictFinding::Kind::kStagingOverlap,
+                                    vault, int(i), vault, int(j), int(seg),
+                                    os.str()});
+        };
+        reqAt.clear();
+        for (size_t a = 0; a < ws.size(); ++a)
+            if (pa.extents[ws[a]].isReq)
+                reqAt.push_back(a);
+        for (size_t a = 0, k = 0; a < ws.size(); ++a) {
+            while (k < reqAt.size() && reqAt[k] <= a)
+                ++k;
+            if (pa.extents[ws[a]].isReq)
+                for (size_t b = a + 1; b < ws.size(); ++b)
+                    checkPair(a, b);
+            else
+                for (size_t r = k; r < reqAt.size(); ++r)
+                    checkPair(a, reqAt[r]);
         }
     }
 }

@@ -35,72 +35,47 @@ vaultFullMask(const HardwareConfig &hw)
 
 } // namespace
 
-// ===================== WrittenBeforeAnalysis =======================
+// ========================== RegEffects =============================
 
-WrittenBeforeAnalysis::WrittenBeforeAnalysis(const HardwareConfig &hw,
-                                             const Cfg &c)
-    : cfg(c), regs(hw), fullMask(vaultFullMask(hw))
+RegEffects::RegEffects(const HardwareConfig &hw, const Cfg &cfg)
+    : regs(hw)
 {
+    const u32 fullMask = vaultFullMask(hw);
+    const std::vector<Instruction> &prog = cfg.prog();
+    begin.reserve(prog.size() + 1);
+    readsAt.reserve(prog.size());
+    auto add = [&](const RegRef &ref, u32 mask) {
+        size_t r = regs.index(ref.file, ref.idx);
+        if (r < regs.size())
+            effects.push_back(
+                {u32(r), ref.file == RegFile::kCrf ? ~0u : mask});
+    };
+    for (const Instruction &inst : prog) {
+        begin.push_back(u32(effects.size()));
+        if (!validOp(inst)) {
+            readsAt.push_back(u32(effects.size()));
+            continue;
+        }
+        AccessSet acc = inst.accessSet();
+        u32 mask = execMask(inst, fullMask);
+        for (u8 w = 0; w < acc.numWrites; ++w)
+            add(acc.writes[w], mask);
+        readsAt.push_back(u32(effects.size()));
+        for (u8 rd = 0; rd < acc.numReads; ++rd)
+            add(acc.reads[rd], mask);
+    }
+    begin.push_back(u32(effects.size()));
 }
+
+// ===================== WrittenBeforeAnalysis =======================
 
 WrittenBeforeAnalysis::State
 WrittenBeforeAnalysis::boundary() const
 {
-    State s(regs.size(), 0u);
-    for (u16 a = 0; a < kIdentityArfs && a < regs.arf; ++a)
-        s[regs.index(RegFile::kArf, a)] = ~0u;
+    State s(fx.regs.size(), 0u);
+    for (u16 a = 0; a < kIdentityArfs && a < fx.regs.arf; ++a)
+        s[fx.regs.index(RegFile::kArf, a)] = ~0u;
     return s;
-}
-
-void
-WrittenBeforeAnalysis::transfer(State &s, u32 instIdx) const
-{
-    const Instruction &inst = cfg.prog()[instIdx];
-    if (!validOp(inst))
-        return;
-    AccessSet acc = inst.accessSet();
-    u32 mask = execMask(inst, fullMask);
-    for (u8 w = 0; w < acc.numWrites; ++w) {
-        size_t r = regs.index(acc.writes[w].file, acc.writes[w].idx);
-        if (r >= regs.size())
-            continue; // out-of-bounds register: V01's problem
-        u32 writeMask = acc.writes[w].file == RegFile::kCrf ? ~0u : mask;
-        s[r] |= writeMask;
-    }
-}
-
-// ======================== MayReadAnalysis ==========================
-
-MayReadAnalysis::MayReadAnalysis(const HardwareConfig &hw, const Cfg &c)
-    : cfg(c), regs(hw), fullMask(vaultFullMask(hw))
-{
-}
-
-void
-MayReadAnalysis::transfer(State &s, u32 instIdx) const
-{
-    const Instruction &inst = cfg.prog()[instIdx];
-    if (!validOp(inst))
-        return;
-    AccessSet acc = inst.accessSet();
-    u32 mask = execMask(inst, fullMask);
-    // Backward: kill the written PEs first, then gen the reads, so an
-    // instruction reading and writing the same register (mac) keeps the
-    // incoming value live.
-    for (u8 w = 0; w < acc.numWrites; ++w) {
-        size_t r = regs.index(acc.writes[w].file, acc.writes[w].idx);
-        if (r >= regs.size())
-            continue;
-        u32 writeMask = acc.writes[w].file == RegFile::kCrf ? ~0u : mask;
-        s[r] &= ~writeMask;
-    }
-    for (u8 rd = 0; rd < acc.numReads; ++rd) {
-        size_t r = regs.index(acc.reads[rd].file, acc.reads[rd].idx);
-        if (r >= regs.size())
-            continue;
-        u32 readMask = acc.reads[rd].file == RegFile::kCrf ? ~0u : mask;
-        s[r] |= readMask;
-    }
 }
 
 // ====================== CrfConstPropAnalysis =======================
@@ -136,31 +111,6 @@ CrfConstPropAnalysis::transfer(State &s, u32 instIdx) const
                       ? ConstVal::cst(aluEvalI32(inst.aluOp, a.value,
                                                  b.value))
                       : ConstVal::nonconst();
-}
-
-// ===================== CrfReachingDefsAnalysis =====================
-
-void
-CrfReachingDefsAnalysis::meet(State &into, const State &other) const
-{
-    for (size_t r = 0; r < into.size(); ++r) {
-        std::vector<i32> merged;
-        std::set_union(into[r].begin(), into[r].end(),
-                       other[r].begin(), other[r].end(),
-                       std::back_inserter(merged));
-        into[r] = std::move(merged);
-    }
-}
-
-void
-CrfReachingDefsAnalysis::transfer(State &s, u32 instIdx) const
-{
-    const Instruction &inst = cfg.prog()[instIdx];
-    if (!validOp(inst))
-        return;
-    if ((inst.op == Opcode::kSetiCrf || inst.op == Opcode::kCalcCrf) &&
-        inst.dst < crfEntries)
-        s[inst.dst] = {i32(instIdx)};
 }
 
 // ========================= CrfConstProp ============================

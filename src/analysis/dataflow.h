@@ -11,10 +11,7 @@
  *    complement is the "definitely killed" fact behind the V12 dead-
  *    write lint (classic liveness with PE-mask granularity).
  *  - CrfConstProp (forward): constant propagation over the control
- *    core's scalar CtrlRF — branch-target validation (V08), static loop
- *    trip counts, and the address seeds of the range analysis.
- *  - CrfReachingDefs (forward, may): per CRF register, the set of
- *    defining instruction indices reaching each point.
+ *    core's scalar CtrlRF — static loop trip counts.
  *
  * An analysis is a struct the engine is instantiated with:
  *
@@ -22,7 +19,8 @@
  *     using State = ...;                       // copyable, ==-comparable
  *     static constexpr bool kForward = ...;
  *     State boundary() const;  // entry (fwd) / exit (bwd) state
- *     State top() const;       // optimistic initial in/out
+ *     State top() const;       // optimistic initial in/out; the
+ *                              // meet identity: meet(top, x) == x
  *     void meet(State &into, const State &other) const;
  *     void transfer(State &s, u32 instIdx) const;
  *   };
@@ -50,10 +48,12 @@ solveDataflow(const Cfg &cfg, const A &a)
 {
     using State = typename A::State;
     const int n = cfg.numBlocks();
-    std::vector<State> in(size_t(n), a.top());
-    std::vector<State> out(size_t(n), a.top());
+    const State top = a.top();
+    std::vector<State> in(size_t(n), top);
+    std::vector<State> out(size_t(n), top);
     if (n == 0)
         return in;
+    const State boundaryState = a.boundary();
 
     // Iteration order: RPO for forward problems, reverse RPO for
     // backward ones; both visit a block after most of its inputs.
@@ -61,19 +61,37 @@ solveDataflow(const Cfg &cfg, const A &a)
     if (!A::kForward)
         std::reverse(order.begin(), order.end());
 
+    // A block is re-evaluated only when one of its inputs changed
+    // since its last visit; otherwise it would recompute the states it
+    // already holds.  The scratch states keep their storage across
+    // visits.
+    std::vector<bool> dirty(size_t(n), true);
+    State entry, exit;
     bool changed = true;
     while (changed) {
         changed = false;
         for (int b : order) {
+            if (!dirty[size_t(b)])
+                continue;
+            dirty[size_t(b)] = false;
             const BasicBlock &bb = cfg.block(b);
-            State entry = a.top();
+            // Top is the meet identity, so the first input is copied
+            // rather than met into a fresh top state.
+            bool first = true;
+            auto meet = [&](const State &input) {
+                if (first)
+                    entry = input;
+                else
+                    a.meet(entry, input);
+                first = false;
+            };
             bool boundary;
             if (A::kForward) {
                 // Block 0 is the program entry even when a back edge
                 // also targets it (the whole program is a loop).
                 boundary = b == 0 || bb.preds.empty();
                 for (int p : bb.preds)
-                    a.meet(entry, out[size_t(p)]);
+                    meet(out[size_t(p)]);
             } else {
                 // Blocks without successors (halt, program tail) take
                 // the exit boundary; so do blocks whose terminator has
@@ -81,12 +99,14 @@ solveDataflow(const Cfg &cfg, const A &a)
                 // unknown — stay conservative).
                 boundary = bb.succs.empty() || bb.unresolvedTarget;
                 for (int s : bb.succs)
-                    a.meet(entry, in[size_t(s)]);
+                    meet(in[size_t(s)]);
             }
             if (boundary)
-                a.meet(entry, a.boundary());
+                meet(boundaryState);
+            if (first)
+                entry = top;
 
-            State exit = entry;
+            exit = entry;
             if (A::kForward) {
                 for (u32 i = bb.first; i <= bb.last; ++i)
                     a.transfer(exit, i);
@@ -98,9 +118,11 @@ solveDataflow(const Cfg &cfg, const A &a)
             State &storedIn = A::kForward ? in[size_t(b)] : out[size_t(b)];
             State &storedOut = A::kForward ? out[size_t(b)] : in[size_t(b)];
             if (!(storedIn == entry) || !(storedOut == exit)) {
-                storedIn = std::move(entry);
-                storedOut = std::move(exit);
+                std::swap(storedIn, entry); // scratch: rebuilt next visit
+                std::swap(storedOut, exit);
                 changed = true;
+                for (int next : A::kForward ? bb.succs : bb.preds)
+                    dirty[size_t(next)] = true;
             }
         }
     }
@@ -136,6 +158,31 @@ struct RegSpace
 // ===================== PE-mask write analyses ======================
 
 /**
+ * The register effects of every instruction in RegSpace indices, each
+ * with the PE mask it touches (CRF registers, core-scalar, use ~0u),
+ * flattened once per program so the PE-mask analyses step an
+ * instruction without re-deriving its access set.  Invalid
+ * instructions and out-of-bounds registers (V13's and V01's problems)
+ * have no effects.
+ */
+struct RegEffects
+{
+    struct Effect
+    {
+        u32 reg;
+        u32 mask;
+    };
+
+    RegSpace regs;
+    /// Instruction i writes effects[begin[i], readsAt[i]) and reads
+    /// effects[readsAt[i], begin[i + 1]).
+    std::vector<Effect> effects;
+    std::vector<u32> begin, readsAt;
+
+    RegEffects(const HardwareConfig &hw, const Cfg &cfg);
+};
+
+/**
  * Forward must-analysis: state[r] is the PE mask that has written
  * register r on *every* path from entry.  CRF registers (core-scalar)
  * use bit 0.  The boundary seeds the four hardware-initialized identity
@@ -146,13 +193,11 @@ struct WrittenBeforeAnalysis
     using State = std::vector<u32>;
     static constexpr bool kForward = true;
 
-    const Cfg &cfg;
-    RegSpace regs;
-    u32 fullMask;
+    const RegEffects &fx;
 
-    WrittenBeforeAnalysis(const HardwareConfig &hw, const Cfg &c);
+    explicit WrittenBeforeAnalysis(const RegEffects &f) : fx(f) {}
 
-    State top() const { return State(regs.size(), ~0u); }
+    State top() const { return State(fx.regs.size(), ~0u); }
     State boundary() const;
     void
     meet(State &into, const State &other) const
@@ -160,7 +205,12 @@ struct WrittenBeforeAnalysis
         for (size_t i = 0; i < into.size(); ++i)
             into[i] &= other[i];
     }
-    void transfer(State &s, u32 instIdx) const;
+    void
+    transfer(State &s, u32 instIdx) const
+    {
+        for (u32 k = fx.begin[instIdx]; k < fx.readsAt[instIdx]; ++k)
+            s[fx.effects[k].reg] |= fx.effects[k].mask;
+    }
 };
 
 /**
@@ -174,21 +224,29 @@ struct MayReadAnalysis
     using State = std::vector<u32>;
     static constexpr bool kForward = false;
 
-    const Cfg &cfg;
-    RegSpace regs;
-    u32 fullMask;
+    const RegEffects &fx;
 
-    MayReadAnalysis(const HardwareConfig &hw, const Cfg &c);
+    explicit MayReadAnalysis(const RegEffects &f) : fx(f) {}
 
-    State top() const { return State(regs.size(), 0u); }
-    State boundary() const { return State(regs.size(), ~0u); }
+    State top() const { return State(fx.regs.size(), 0u); }
+    State boundary() const { return State(fx.regs.size(), ~0u); }
     void
     meet(State &into, const State &other) const
     {
         for (size_t i = 0; i < into.size(); ++i)
             into[i] |= other[i];
     }
-    void transfer(State &s, u32 instIdx) const;
+    /// Kill the written PEs first, then gen the reads, so an
+    /// instruction reading and writing the same register (mac) keeps
+    /// the incoming value live.
+    void
+    transfer(State &s, u32 instIdx) const
+    {
+        for (u32 k = fx.begin[instIdx]; k < fx.readsAt[instIdx]; ++k)
+            s[fx.effects[k].reg] &= ~fx.effects[k].mask;
+        for (u32 k = fx.readsAt[instIdx]; k < fx.begin[instIdx + 1]; ++k)
+            s[fx.effects[k].reg] |= fx.effects[k].mask;
+    }
 };
 
 // ====================== CRF constant lattice =======================
@@ -245,36 +303,6 @@ struct CrfConstPropAnalysis
         for (size_t i = 0; i < into.size(); ++i)
             into[i].meet(other[i]);
     }
-    void transfer(State &s, u32 instIdx) const;
-};
-
-// ======================= CRF reaching defs =========================
-
-/**
- * Forward may-analysis: per CRF register, the sorted set of instruction
- * indices whose definition may reach this point (-1 encodes "the reset
- * value reaches here").
- */
-struct CrfReachingDefsAnalysis
-{
-    using State = std::vector<std::vector<i32>>;
-    static constexpr bool kForward = true;
-
-    const Cfg &cfg;
-    u32 crfEntries;
-
-    CrfReachingDefsAnalysis(const HardwareConfig &hw, const Cfg &c)
-        : cfg(c), crfEntries(hw.ctrlRfEntries)
-    {
-    }
-
-    State top() const { return State(crfEntries); }
-    State
-    boundary() const
-    {
-        return State(crfEntries, std::vector<i32>{-1});
-    }
-    void meet(State &into, const State &other) const;
     void transfer(State &s, u32 instIdx) const;
 };
 

@@ -18,6 +18,13 @@ validOp(const Instruction &inst)
 /// capping keeps the interval products inside i64.
 constexpr i64 kMagnitudeCap = i64(1) << 40;
 
+/// Sort key of a scalar register: (file, index) packed into 32 bits.
+u32
+defKey(RegFile f, u16 reg)
+{
+    return u32(f == RegFile::kCrf ? 0 : 1) << 16 | reg;
+}
+
 ValueInterval
 capped(i64 lo, i64 hi)
 {
@@ -205,23 +212,17 @@ ValueRanges::run(const HardwareConfig &hw, const Cfg &cfg, int chip,
     vr.hw_ = &hw;
     vr.cfg_ = &cfg;
 
-    // ---- induction registers per loop (step derivable statically) ----
+    // ---- per-loop register defs and induction registers ----
+    // Only seti_crf/calc_crf (CRF) and calc_arf/mov_drf_arf (ARF) write
+    // the scalar files, one register each.
     const std::vector<Instruction> &prog = cfg.prog();
-    vr.induction_.resize(cfg.loops().size());
-    for (size_t li = 0; li < cfg.loops().size(); ++li) {
-        const NaturalLoop &loop = cfg.loops()[li];
-        // Count in-loop defs per register; keep single-def increments.
-        std::vector<std::pair<InductionVar, int>> defs; // var, count
-        auto note = [&](RegFile f, u16 reg, i64 step) {
-            for (auto &[v, n] : defs) {
-                if (v.file == f && v.reg == reg) {
-                    ++n;
-                    return;
-                }
-            }
-            defs.push_back({{f, reg, step}, 1});
-        };
-        for (int b : loop.blocks) {
+    const std::vector<NaturalLoop> &loops = cfg.loops();
+    vr.induction_.resize(loops.size());
+    vr.loopDefs_.resize(loops.size());
+    std::vector<std::pair<u32, u32>> defs; // (key, inst), one per def
+    for (size_t li = 0; li < loops.size(); ++li) {
+        defs.clear();
+        for (int b : loops[li].blocks) {
             const BasicBlock &bb = cfg.block(b);
             for (u32 i = bb.first; i <= bb.last; ++i) {
                 const Instruction &inst = prog[i];
@@ -231,72 +232,95 @@ ValueRanges::run(const HardwareConfig &hw, const Cfg &cfg, int chip,
                              inst.op == Opcode::kSetiCrf;
                 bool isArf = inst.op == Opcode::kCalcArf ||
                              inst.op == Opcode::kMovDrfToArf;
-                if (!isCrf && !isArf)
-                    continue;
-                RegFile f = isCrf ? RegFile::kCrf : RegFile::kArf;
-                bool increment =
-                    (inst.op == Opcode::kCalcCrf ||
-                     inst.op == Opcode::kCalcArf) &&
-                    inst.srcImm && inst.src1 == inst.dst &&
-                    (inst.aluOp == AluOp::kAdd ||
-                     inst.aluOp == AluOp::kSub);
-                i64 step = !increment ? 0
-                           : inst.aluOp == AluOp::kAdd ? i64(inst.imm)
-                                                       : -i64(inst.imm);
-                note(f, inst.dst, increment ? step : 0);
+                if (isCrf || isArf)
+                    defs.push_back(
+                        {defKey(isCrf ? RegFile::kCrf : RegFile::kArf,
+                                inst.dst),
+                         i});
             }
         }
-        for (const auto &[v, n] : defs)
-            if (n == 1 && v.step != 0)
-                vr.induction_[li].push_back(v);
+        std::sort(defs.begin(), defs.end());
+        for (size_t k = 0, next = 0; k < defs.size(); k = next) {
+            next = k + 1;
+            while (next < defs.size() && defs[next].first == defs[k].first)
+                ++next;
+            u32 count = u32(next - k);
+            vr.loopDefs_[li].push_back(
+                {defs[k].first, defs[k].second, count});
+            // A single-def increment `calc add/sub r, r, #k`.
+            const Instruction &inst = prog[defs[k].second];
+            bool increment = count == 1 &&
+                             (inst.op == Opcode::kCalcCrf ||
+                              inst.op == Opcode::kCalcArf) &&
+                             inst.srcImm && inst.src1 == inst.dst &&
+                             (inst.aluOp == AluOp::kAdd ||
+                              inst.aluOp == AluOp::kSub);
+            if (increment && inst.imm != 0)
+                vr.induction_[li].push_back(
+                    {inst.op == Opcode::kCalcCrf ? RegFile::kCrf
+                                                 : RegFile::kArf,
+                     inst.dst,
+                     inst.aluOp == AluOp::kAdd ? i64(inst.imm)
+                                               : -i64(inst.imm)});
+        }
     }
 
     // ---- widening fixpoint with induction summarization ----
     const int n = cfg.numBlocks();
-    vr.blockIn_.assign(size_t(n), vr.topState());
+    const RangeState top = vr.topState();
+    vr.blockIn_.assign(size_t(n), top);
     if (n == 0)
         return vr;
-    std::vector<RangeState> blockOut(size_t(n), vr.topState());
+    std::vector<RangeState> blockOut(size_t(n), top);
+    const RangeState seed = vr.seedState(chip, vaultInCube);
+    std::vector<int> headerLoop(size_t(n), -1);
+    for (size_t li = 0; li < loops.size(); ++li)
+        headerLoop[size_t(loops[li].header)] = int(li);
 
-    auto transferBlock = [&](const RangeState &in, int b) {
-        RangeState out = in;
-        const BasicBlock &bb = cfg.block(b);
-        for (u32 i = bb.first; i <= bb.last; ++i)
-            vr.applyInst(out, i);
-        return out;
-    };
+    // A block is re-evaluated only when a predecessor's out-state
+    // changed since its last visit: otherwise it would recompute the
+    // state it already holds (widening included, which is idempotent
+    // on unchanged inputs), so skipping it changes nothing.
+    std::vector<bool> dirty(size_t(n), true);
+    RangeState in, latchOut, entry;
 
     constexpr int kWidenPass = 8;
     for (int pass = 0; pass < 2 * kWidenPass; ++pass) {
         bool changed = false;
         for (int b : cfg.rpo()) {
+            if (!dirty[size_t(b)])
+                continue;
+            dirty[size_t(b)] = false;
             const BasicBlock &bb = cfg.block(b);
-            RangeState in = vr.topState();
-            int headerLoop = -1;
-            for (size_t li = 0; li < cfg.loops().size(); ++li)
-                if (cfg.loops()[li].header == b)
-                    headerLoop = int(li);
+            int hl = headerLoop[size_t(b)];
 
+            // Top is the join identity, so the first contribution is
+            // copied rather than joined into a fresh top state.
+            bool first = true;
+            auto join = [&](const RangeState &o) {
+                if (first)
+                    in = o;
+                else
+                    vr.joinState(in, o);
+                first = false;
+            };
             if (b == 0 || bb.preds.empty())
-                vr.joinState(in, vr.seedState(chip, vaultInCube));
+                join(seed);
             for (int p : bb.preds) {
-                bool backEdge =
-                    headerLoop >= 0 &&
-                    cfg.loops()[size_t(headerLoop)].contains(p);
+                bool backEdge = hl >= 0 && loops[size_t(hl)].contains(p);
                 if (!backEdge) {
-                    vr.joinState(in, blockOut[size_t(p)]);
+                    join(blockOut[size_t(p)]);
                     continue;
                 }
                 // Back edge: replace the induction registers'
                 // contribution with the trip-count summary
                 //   entry + [min(0, (T-1)k), max(0, (T-1)k)]
                 // so they converge without widening to Unknown.
-                const NaturalLoop &loop =
-                    cfg.loops()[size_t(headerLoop)];
-                RangeState latchOut = blockOut[size_t(p)];
+                const NaturalLoop &loop = loops[size_t(hl)];
+                latchOut = blockOut[size_t(p)];
                 if (loop.tripCount > 0) {
                     // Entry-only join (recomputed from current outs).
-                    RangeState entry = vr.topState();
+                    entry = top;
                     bool any = false;
                     for (int q : bb.preds) {
                         if (loop.contains(q))
@@ -305,10 +329,9 @@ ValueRanges::run(const HardwareConfig &hw, const Cfg &cfg, int chip,
                         any = true;
                     }
                     if (b == 0 || !any)
-                        vr.joinState(entry,
-                                     vr.seedState(chip, vaultInCube));
+                        vr.joinState(entry, seed);
                     for (const InductionVar &ivr :
-                         vr.induction_[size_t(headerLoop)]) {
+                         vr.induction_[size_t(hl)]) {
                         i64 span = (loop.tripCount - 1) * ivr.step;
                         auto &reg = ivr.file == RegFile::kCrf
                                         ? latchOut.crf[ivr.reg]
@@ -324,44 +347,40 @@ ValueRanges::run(const HardwareConfig &hw, const Cfg &cfg, int chip,
                             reg = ValueInterval::unknown();
                     }
                 }
-                vr.joinState(in, latchOut);
+                join(latchOut);
             }
+            if (first)
+                in = top;
 
-            if (!(in == vr.blockIn_[size_t(b)])) {
-                if (pass >= kWidenPass) {
-                    // Still growing: widen every unstable register.
-                    const RangeState &old = vr.blockIn_[size_t(b)];
-                    for (size_t i = 0; i < in.crf.size(); ++i)
-                        if (!(in.crf[i] == old.crf[i]) &&
-                            old.crf[i].kind != ValueInterval::kTop)
-                            in.crf[i] = ValueInterval::unknown();
-                    for (size_t i = 0; i < in.arf.size(); ++i)
-                        if (!(in.arf[i] == old.arf[i]) &&
-                            old.arf[i].kind != ValueInterval::kTop)
-                            in.arf[i] = ValueInterval::unknown();
-                }
-                if (!(in == vr.blockIn_[size_t(b)])) {
-                    vr.blockIn_[size_t(b)] = in;
-                    blockOut[size_t(b)] = transferBlock(in, b);
-                    changed = true;
-                }
+            RangeState &stored = vr.blockIn_[size_t(b)];
+            if (in == stored)
+                continue;
+            if (pass >= kWidenPass) {
+                // Still growing: widen every unstable register.
+                for (size_t i = 0; i < in.crf.size(); ++i)
+                    if (!(in.crf[i] == stored.crf[i]) &&
+                        stored.crf[i].kind != ValueInterval::kTop)
+                        in.crf[i] = ValueInterval::unknown();
+                for (size_t i = 0; i < in.arf.size(); ++i)
+                    if (!(in.arf[i] == stored.arf[i]) &&
+                        stored.arf[i].kind != ValueInterval::kTop)
+                        in.arf[i] = ValueInterval::unknown();
+                if (in == stored)
+                    continue;
             }
+            stored = in;
+            RangeState &out = blockOut[size_t(b)];
+            std::swap(out, in); // `in` is rebuilt on the next visit
+            for (u32 i = bb.first; i <= bb.last; ++i)
+                vr.applyInst(out, i);
+            for (int s : bb.succs)
+                dirty[size_t(s)] = true;
+            changed = true;
         }
         if (!changed)
             break;
     }
     return vr;
-}
-
-RangeState
-ValueRanges::atInst(u32 instIdx) const
-{
-    int b = cfg_->blockOf(instIdx);
-    const BasicBlock &bb = cfg_->block(b);
-    RangeState s = blockIn_[size_t(b)];
-    for (u32 i = bb.first; i < instIdx; ++i)
-        applyInst(s, i);
-    return s;
 }
 
 ValueInterval
@@ -403,27 +422,16 @@ ValueRanges::regStep(int loopIdx, RegFile file, u16 reg,
     for (const InductionVar &v : induction_[size_t(loopIdx)])
         if (v.file == file && v.reg == reg)
             return v.step;
-    const NaturalLoop &loop = cfg_->loops()[size_t(loopIdx)];
-    const Instruction *def = nullptr;
-    for (int b : loop.blocks) {
-        const BasicBlock &bb = cfg_->block(b);
-        for (u32 i = bb.first; i <= bb.last; ++i) {
-            const Instruction &inst = cfg_->prog()[i];
-            if (!validOp(inst))
-                continue;
-            AccessSet acc = inst.accessSet();
-            for (u8 w = 0; w < acc.numWrites; ++w) {
-                if (acc.writes[w].file != file ||
-                    acc.writes[w].idx != reg)
-                    continue;
-                if (def && def != &inst)
-                    return kUnknownStep; // multiple in-loop defs
-                def = &inst;
-            }
-        }
-    }
-    if (!def)
+    const std::vector<LoopDef> &defs = loopDefs_[size_t(loopIdx)];
+    u32 key = defKey(file, reg);
+    auto it = std::lower_bound(
+        defs.begin(), defs.end(), key,
+        [](const LoopDef &d, u32 k) { return d.key < k; });
+    if (it == defs.end() || it->key != key)
         return 0; // loop-invariant
+    if (it->count > 1)
+        return kUnknownStep; // multiple in-loop defs
+    const Instruction *def = &cfg_->prog()[it->inst];
     if (def->op == Opcode::kSetiCrf && file == RegFile::kCrf)
         return 0; // same constant every iteration
     bool affine =
@@ -473,45 +481,9 @@ computeAccessExtents(const HardwareConfig &hw, const ValueRanges &vr)
                 };
                 switch (inst.op) {
                   case Opcode::kStRf:
-                    acc.bankWrite = toExtent(
-                        addr(inst.dramAddr, RegFile::kArf),
-                        kVectorBytes);
-                    break;
-                  case Opcode::kLdRf:
-                    acc.bankRead = toExtent(
-                        addr(inst.dramAddr, RegFile::kArf),
-                        kVectorBytes);
-                    break;
                   case Opcode::kStPgsm:
                     acc.bankWrite = toExtent(
                         addr(inst.dramAddr, RegFile::kArf),
-                        kVectorBytes);
-                    acc.pgsmRead = toExtent(
-                        addr(inst.pgsmAddr, RegFile::kArf),
-                        kVectorBytes);
-                    break;
-                  case Opcode::kLdPgsm:
-                    acc.bankRead = toExtent(
-                        addr(inst.dramAddr, RegFile::kArf),
-                        kVectorBytes);
-                    acc.pgsmWrite = toExtent(
-                        addr(inst.pgsmAddr, RegFile::kArf),
-                        kVectorBytes);
-                    break;
-                  case Opcode::kRdPgsm:
-                  case Opcode::kWrPgsm: {
-                    u64 span = u64(kSimdLanes - 1) * inst.pgsmStride + 4;
-                    Extent e = toExtent(
-                        addr(inst.pgsmAddr, RegFile::kArf), span);
-                    if (inst.op == Opcode::kRdPgsm)
-                        acc.pgsmRead = e;
-                    else
-                        acc.pgsmWrite = e;
-                    break;
-                  }
-                  case Opcode::kRdVsm:
-                    acc.vsmRead = toExtent(
-                        addr(inst.vsmAddr, RegFile::kArf),
                         kVectorBytes);
                     break;
                   case Opcode::kWrVsm:

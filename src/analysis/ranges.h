@@ -10,8 +10,8 @@
  * small abstract domain — intervals seeded with the identity ranges,
  * stepped by interval arithmetic, and summarized over loops with
  * statically known trip counts — recovers a byte-precise
- * over-approximation of every bank/PGSM/VSM address an instruction can
- * touch.  Those extents are the raw material of the cross-vault
+ * over-approximation of every bank/VSM address an instruction can
+ * write or a req can read remotely.  Those extents are the raw material of the cross-vault
  * conflict proofs (conflict.h): "provably disjoint" extents license
  * parallel simulation, overlapping ones are reported, unknown ones are
  * counted as unproved coverage.
@@ -81,16 +81,6 @@ class ValueRanges
     const Cfg &cfg() const { return *cfg_; }
     const RangeState &blockIn(int b) const { return blockIn_[size_t(b)]; }
 
-    /** State just before instruction @p instIdx executes. */
-    RangeState atInst(u32 instIdx) const;
-
-    /** Induction registers of loop @p loopIdx (see cfg().loops()). */
-    const std::vector<InductionVar> &
-    induction(int loopIdx) const
-    {
-        return induction_[size_t(loopIdx)];
-    }
-
     /**
      * Per-iteration address step of @p m at instruction @p instIdx
      * inside its innermost loop: 0 when the address is loop-invariant,
@@ -108,10 +98,21 @@ class ValueRanges
     void applyInst(RangeState &s, u32 instIdx) const;
 
   private:
+    /// One CRF/ARF register a loop body writes: (file, reg) packed by
+    /// defKey(), its first defining instruction, and how many
+    /// instructions of the body write it.
+    struct LoopDef
+    {
+        u32 key = 0;
+        u32 inst = 0;
+        u32 count = 0;
+    };
+
     const HardwareConfig *hw_ = nullptr;
     const Cfg *cfg_ = nullptr;
     std::vector<RangeState> blockIn_;
     std::vector<std::vector<InductionVar>> induction_;
+    std::vector<std::vector<LoopDef>> loopDefs_; ///< per loop, by key
 
     RangeState seedState(int chip, int vaultInCube) const;
     RangeState topState() const;
@@ -154,12 +155,14 @@ struct Extent
     }
 };
 
-/** Memory footprint of one instruction over all its executions. */
+/**
+ * The parts of one instruction's memory footprint, over all its
+ * executions, that the conflict analysis compares: local bank writes,
+ * VSM writes, and a req's remote bank read.
+ */
 struct InstMemAccess
 {
-    Extent bankRead, bankWrite;
-    Extent pgsmRead, pgsmWrite;
-    Extent vsmRead, vsmWrite;
+    Extent bankWrite, vsmWrite;
 
     // req-only fields
     bool isReq = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -406,21 +407,6 @@ struct ReachingDef
     i32 value = 0;        ///< seti_crf immediate
 };
 
-ReachingDef
-reachingCrfDef(const Ctx &c, size_t branch, u16 reg)
-{
-    for (size_t j = branch; j-- > 0;) {
-        if (!c.valid[j])
-            continue;
-        const Instruction &inst = c.prog[j];
-        if (inst.op == Opcode::kSetiCrf && inst.dst == reg)
-            return {int(j), false, inst.imm};
-        if (inst.op == Opcode::kCalcCrf && inst.dst == reg)
-            return {int(j), true, 0};
-    }
-    return {};
-}
-
 void
 checkControlFlow(Ctx &c)
 {
@@ -447,13 +433,23 @@ checkControlFlow(Ctx &c)
     // (Cfg::build) resolves the same reaching definitions to construct
     // its edges; this pass only attributes the error cases.
     bool dynamicJump = false;
+    std::vector<ReachingDef> lastDef; // per CRF register, so far
     for (size_t i = 0; i < c.prog.size(); ++i) {
         if (!c.valid[i])
             continue;
         const Instruction &inst = c.prog[i];
+        if (inst.op == Opcode::kSetiCrf || inst.op == Opcode::kCalcCrf) {
+            if (inst.dst >= lastDef.size())
+                lastDef.resize(size_t(inst.dst) + 1);
+            lastDef[inst.dst] = {int(i), inst.op == Opcode::kCalcCrf,
+                                 inst.op == Opcode::kSetiCrf ? inst.imm
+                                                             : 0};
+            continue;
+        }
         if (inst.op != Opcode::kJump && inst.op != Opcode::kCjump)
             continue;
-        ReachingDef def = reachingCrfDef(c, i, inst.dst);
+        ReachingDef def =
+            inst.dst < lastDef.size() ? lastDef[inst.dst] : ReachingDef{};
         if (def.index < 0) {
             c.error(Rule::kBranchTarget, int(i),
                     cat("branch target register c", inst.dst,
@@ -546,28 +542,46 @@ checkDataflow(Ctx &c)
     constexpr int kDeadWriteCap = 5;
     int deadWrites = 0;
 
-    WrittenBeforeAnalysis wb(c.cfg, g);
+    RegEffects fx(c.cfg, g);
+    const RegSpace &regs = fx.regs;
+    WrittenBeforeAnalysis wb(fx);
     std::vector<std::vector<u32>> wbIn = solveDataflow(g, wb);
-    MayReadAnalysis mr(c.cfg, g);
+    MayReadAnalysis mr(fx);
     std::vector<std::vector<u32>> mrOut = solveDataflow(g, mr);
 
     // One V11 report per (register, PE) — a first-read is diagnosed
     // once even when later blocks read the register again.
-    std::vector<u32> reported(wb.regs.size(), 0);
+    std::vector<u32> reported(regs.size(), 0);
+    std::vector<u32> live;
+    std::vector<u8> dead(c.prog.size(), 0);
 
     for (int b = 0; b < g.numBlocks(); ++b) {
         const BasicBlock &bb = g.block(b);
         if (!bb.reachable)
             continue;
 
-        // Per-instruction liveness-after, from the block's exit state.
-        std::vector<std::vector<u32>> liveAfter(bb.last - bb.first + 1);
-        {
-            std::vector<u32> st = mrOut[size_t(b)];
-            for (u32 i = bb.last + 1; i-- > bb.first;) {
-                liveAfter[i - bb.first] = st;
-                mr.transfer(st, i);
+        // Dead writes, found walking back from the block's exit
+        // liveness: bit w of dead[i] marks write w of instruction i.
+        live = mrOut[size_t(b)];
+        for (u32 i = bb.last + 1; i-- > bb.first;) {
+            dead[i] = 0;
+            if (c.valid[i]) {
+                const AccessSet &acc = c.access[i];
+                u32 execMask = isBroadcast(c.prog[i].op)
+                                   ? (c.prog[i].simbMask &
+                                      c.validSimbMask())
+                                   : 1u;
+                for (u8 w = 0; w < acc.numWrites; ++w) {
+                    const RegRef &ref = acc.writes[w];
+                    size_t k = regs.index(ref.file, ref.idx);
+                    u32 writeMask =
+                        ref.file == RegFile::kCrf ? 1u : execMask;
+                    if (k < regs.size() && writeMask != 0 &&
+                        (live[k] & writeMask) == 0)
+                        dead[i] |= u8(1u << w);
+                }
             }
+            mr.transfer(live, i);
         }
 
         std::vector<u32> written = wbIn[size_t(b)];
@@ -594,8 +608,8 @@ checkDataflow(Ctx &c)
                     lintable = false;
                 if (isZeroIdiom(inst) && ref.idx == inst.src1)
                     lintable = false;
-                size_t k = wb.regs.index(ref.file, ref.idx);
-                if (k >= wb.regs.size())
+                size_t k = regs.index(ref.file, ref.idx);
+                if (k >= regs.size())
                     continue; // out-of-bounds register: V01's problem
                 u32 readMask =
                     ref.file == RegFile::kCrf ? 1u : execMask;
@@ -613,16 +627,11 @@ checkDataflow(Ctx &c)
                 reported[k] |= readMask;
             }
 
+            // An empty simb_mask (V05's problem) or out-of-bounds
+            // register (V01's) is never reported dead.
             for (u8 w = 0; w < acc.numWrites; ++w) {
                 const RegRef &ref = acc.writes[w];
-                size_t k = mr.regs.index(ref.file, ref.idx);
-                if (k >= mr.regs.size())
-                    continue;
-                u32 writeMask =
-                    ref.file == RegFile::kCrf ? 1u : execMask;
-                if (writeMask == 0)
-                    continue; // empty simb_mask: V05's problem
-                if ((liveAfter[i - bb.first][k] & writeMask) != 0)
+                if ((dead[i] & (1u << w)) == 0)
                     continue;
                 if (++deadWrites <= kDeadWriteCap)
                     c.warning(Rule::kDeadWrite, int(i),
@@ -728,20 +737,16 @@ addConflictFindings(VerifyReport &rep, const VerifierOptions &opts,
 }
 
 /**
- * The per-program pass pipeline.  @p programConflicts runs the
- * device-context-free conflict checks (V16/V17); verifyDevice passes
- * false and runs the full cross-vault analysis itself instead.
+ * The per-program pass pipeline over @p graph, the CFG of @p prog.
  */
 VerifyReport
 verifyProgramImpl(const HardwareConfig &cfg,
-                  const std::vector<Instruction> &prog,
-                  const VerifierOptions &opts, int vault,
-                  bool programConflicts)
+                  const std::vector<Instruction> &prog, const Cfg &graph,
+                  const VerifierOptions &opts, int vault)
 {
     VerifyReport rep;
     Ctx c{cfg, prog, opts, vault, rep, {}, {}, {}, nullptr};
     checkOpcodes(c);
-    Cfg graph = Cfg::build(prog);
     if (!prog.empty())
         c.graph = &graph;
     checkRegisterBounds(c);
@@ -753,12 +758,6 @@ verifyProgramImpl(const HardwareConfig &cfg,
     checkSyncPlacement(c);
     checkDataflow(c);
     checkEncoding(c);
-    if (programConflicts && !prog.empty() &&
-        anyConflictRuleEnabled(opts)) {
-        ProgramAnalysis pa = analyzeProgram(cfg, prog);
-        addConflictFindings(rep, opts,
-                            checkProgramConflicts(pa, vault).findings);
-    }
     return rep;
 }
 
@@ -769,8 +768,16 @@ verifyProgram(const HardwareConfig &cfg,
               const std::vector<Instruction> &prog,
               const VerifierOptions &opts, int vault)
 {
-    return verifyProgramImpl(cfg, prog, opts, vault,
-                             /*programConflicts=*/true);
+    auto graph = std::make_unique<Cfg>(Cfg::build(prog));
+    VerifyReport rep = verifyProgramImpl(cfg, prog, *graph, opts, vault);
+    // The device-context-free conflict checks (V16/V17); verifyDevice
+    // runs the full cross-vault analysis instead.
+    if (!prog.empty() && anyConflictRuleEnabled(opts)) {
+        ProgramAnalysis pa = analyzeProgram(cfg, std::move(graph));
+        addConflictFindings(rep, opts,
+                            checkProgramConflicts(pa, vault).findings);
+    }
+    return rep;
 }
 
 VerifyReport
@@ -786,9 +793,14 @@ verifyDevice(const HardwareConfig &cfg,
                      " vault programs but the device has ",
                      u64(cfg.cubes) * cfg.vaultsPerCube, " vaults")});
 
-    for (size_t v = 0; v < perVault.size(); ++v)
-        rep.merge(verifyProgramImpl(cfg, perVault[v], opts, int(v),
-                                    /*programConflicts=*/false));
+    // Each vault's CFG is built once and kept for the conflict analysis.
+    std::vector<std::unique_ptr<Cfg>> graphs;
+    graphs.reserve(perVault.size());
+    for (size_t v = 0; v < perVault.size(); ++v) {
+        graphs.push_back(std::make_unique<Cfg>(Cfg::build(perVault[v])));
+        rep.merge(verifyProgramImpl(cfg, perVault[v], *graphs.back(),
+                                    opts, int(v)));
+    }
 
     if (!opts.isEnabled(Rule::kSyncPhase) || perVault.empty())
         return rep;
@@ -837,7 +849,7 @@ verifyDevice(const HardwareConfig &cfg,
         ptrs.reserve(perVault.size());
         for (size_t v = 0; v < perVault.size(); ++v) {
             analyses.push_back(analyzeProgram(
-                cfg, perVault[v], int(v / cfg.vaultsPerCube),
+                cfg, std::move(graphs[v]), int(v / cfg.vaultsPerCube),
                 int(v % cfg.vaultsPerCube)));
             ptrs.push_back(&analyses.back());
         }

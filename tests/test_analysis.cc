@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "compiler/codegen.h"
 #include "isa/assembler.h"
 #include "runtime/runtime.h"
+#include "verify/verifier.h"
 
 namespace ipim {
 namespace {
@@ -110,6 +112,178 @@ TEST(Cfg, DotRenderingNamesBlocks)
     EXPECT_NE(dot.find("digraph"), std::string::npos);
     EXPECT_NE(dot.find("b0"), std::string::npos);
     EXPECT_NE(dot.find("b1"), std::string::npos);
+}
+
+// ===================== per-block loop table ========================
+
+/** Innermost loop by scanning every loop: fewest blocks, then index. */
+int
+bruteInnermost(const Cfg &cfg, int b)
+{
+    int best = -1;
+    for (size_t i = 0; i < cfg.loops().size(); ++i) {
+        const NaturalLoop &l = cfg.loops()[i];
+        if (l.contains(b) &&
+            (best < 0 ||
+             l.blocks.size() < cfg.loops()[size_t(best)].blocks.size()))
+            best = int(i);
+    }
+    return best;
+}
+
+/** Checks every table-backed loop query against a scan of all loops. */
+void
+expectLoopTableMatchesScan(const std::vector<Instruction> &prog)
+{
+    ProgramAnalysis pa = analyzeProgram(tinyCfg(), prog);
+    const Cfg &cfg = *pa.cfg;
+    const std::vector<NaturalLoop> &loops = cfg.loops();
+    for (int b = 0; b < cfg.numBlocks(); ++b) {
+        int depth = 0;
+        f64 freq = 1.0;
+        for (const NaturalLoop &l : loops) {
+            if (!l.contains(b))
+                continue;
+            ++depth;
+            if (l.tripCount > 0)
+                freq *= f64(l.tripCount);
+        }
+        EXPECT_EQ(cfg.innermostLoop(b), bruteInnermost(cfg, b))
+            << "block " << b;
+        EXPECT_EQ(cfg.loopDepth(b), depth) << "block " << b;
+        EXPECT_EQ(cfg.frequency(b), freq) << "block " << b;
+    }
+    // Nesting: the smallest strictly larger loop holding the header.
+    for (size_t i = 0; i < loops.size(); ++i) {
+        int parent = -1;
+        for (size_t j = 0; j < loops.size(); ++j) {
+            if (j == i || !loops[j].contains(loops[i].header) ||
+                loops[j].blocks.size() <= loops[i].blocks.size())
+                continue;
+            if (parent < 0 || loops[j].blocks.size() <
+                                  loops[size_t(parent)].blocks.size())
+                parent = int(j);
+        }
+        EXPECT_EQ(loops[i].parent, parent) << "loop " << i;
+    }
+}
+
+TEST(LoopTable, NestedLoops)
+{
+    // Outer loop [2..8] (3 trips) around inner loop [4..6] (4 trips).
+    std::vector<Instruction> prog = assemble(R"(
+        seti_crf c0, #3
+        seti_crf c2, #2
+        seti_crf c1, #4
+        seti_crf c3, #4
+        nop
+        calc_crf sub c1, c1, #1
+        cjump c1, c3
+        calc_crf sub c0, c0, #1
+        cjump c0, c2
+        halt
+    )");
+    expectLoopTableMatchesScan(prog);
+    ProgramAnalysis pa = analyzeProgram(tinyCfg(), prog);
+    const Cfg &cfg = *pa.cfg;
+    int inner = cfg.blockOf(4), outer = cfg.blockOf(2);
+    EXPECT_EQ(cfg.loopDepth(inner), 2);
+    EXPECT_EQ(cfg.loopDepth(outer), 1);
+    EXPECT_EQ(cfg.frequency(inner), 12.0);
+    EXPECT_EQ(cfg.frequency(outer), 3.0);
+    EXPECT_EQ(cfg.loopDepth(cfg.blockOf(9)), 0);
+    EXPECT_EQ(cfg.innermostLoop(cfg.blockOf(9)), -1);
+}
+
+TEST(LoopTable, SiblingLoops)
+{
+    std::vector<Instruction> prog = assemble(R"(
+        seti_crf c0, #2
+        seti_crf c1, #2
+        calc_crf sub c0, c0, #1
+        cjump c0, c1
+        seti_crf c2, #5
+        seti_crf c3, #5
+        calc_crf sub c2, c2, #1
+        cjump c2, c3
+        halt
+    )");
+    expectLoopTableMatchesScan(prog);
+    ProgramAnalysis pa = analyzeProgram(tinyCfg(), prog);
+    const Cfg &cfg = *pa.cfg;
+    ASSERT_EQ(cfg.loops().size(), 2u);
+    EXPECT_NE(cfg.innermostLoop(cfg.blockOf(2)),
+              cfg.innermostLoop(cfg.blockOf(6)));
+    EXPECT_EQ(cfg.frequency(cfg.blockOf(2)), 2.0);
+    EXPECT_EQ(cfg.frequency(cfg.blockOf(6)), 5.0);
+}
+
+TEST(LoopTable, SharedHeaderMergesIntoOneLoop)
+{
+    // Two back edges to the header at 2 form one loop with two latches.
+    std::vector<Instruction> prog = assemble(R"(
+        seti_crf c0, #5
+        seti_crf c1, #2
+        nop
+        calc_crf sub c0, c0, #1
+        cjump c0, c1
+        nop
+        cjump c0, c1
+        halt
+    )");
+    expectLoopTableMatchesScan(prog);
+    Cfg cfg = Cfg::build(prog);
+    ASSERT_EQ(cfg.loops().size(), 1u);
+    EXPECT_EQ(cfg.loops()[0].latches.size(), 2u);
+    EXPECT_EQ(cfg.loopDepth(cfg.blockOf(5)), 1);
+}
+
+TEST(LoopTable, UnreachableBlocks)
+{
+    // The jump skips a self-loop that nothing reaches.
+    std::vector<Instruction> prog = assemble(R"(
+        seti_crf c0, #5
+        jump c0
+        seti_crf c1, #3
+        nop
+        cjump c1, c1
+        halt
+    )");
+    expectLoopTableMatchesScan(prog);
+    Cfg cfg = Cfg::build(prog);
+    EXPECT_FALSE(cfg.block(cfg.blockOf(3)).reachable);
+    EXPECT_EQ(cfg.loopDepth(cfg.blockOf(3)), 0);
+}
+
+TEST(LoopTable, MatchesScanOnFuzzedControlFlow)
+{
+    // Random branchy programs over four CRF registers: targets land
+    // anywhere, so the graphs include irreducible regions, shared
+    // headers, unresolved branches and unreachable code.
+    std::mt19937 rng(20260);
+    for (int round = 0; round < 300; ++round) {
+        int n = 8 + int(rng() % 40);
+        std::string text;
+        for (int i = 0; i < n - 1; ++i) {
+            std::string c = "c" + std::to_string(rng() % 4);
+            std::string d = "c" + std::to_string(rng() % 4);
+            switch (rng() % 8) {
+              case 0:
+              case 1:
+                text += "seti_crf " + c + ", #" +
+                        std::to_string(rng() % u32(n)) + "\n";
+                break;
+              case 2: text += "calc_crf sub " + c + ", " + c + ", #1\n"; break;
+              case 3: text += "cjump " + c + ", " + d + "\n"; break;
+              case 4: text += "jump " + c + "\n"; break;
+              case 5: text += "halt\n"; break;
+              default: text += "nop\n"; break;
+            }
+        }
+        text += "halt\n";
+        SCOPED_TRACE(text);
+        expectLoopTableMatchesScan(assemble(text));
+    }
 }
 
 // ================ dataflow: const prop + trip counts ===============
@@ -438,6 +612,132 @@ TEST(Cost, WithinThirtyPercentOnMostBenchmarks)
                   std::to_string(ratio) + (ok ? "\n" : "  <-- OUT\n");
     }
     EXPECT_GE(inBand, 8) << report;
+}
+
+// ===================== golden report digests =======================
+
+/** 64-bit FNV-1a, fed field by field. */
+struct Fnv
+{
+    u64 h = 0xcbf29ce484222325ull;
+
+    void
+    bytes(const void *p, size_t n)
+    {
+        for (size_t i = 0; i < n; ++i) {
+            h ^= static_cast<const u8 *>(p)[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+    void str(const std::string &s) { bytes(s.data(), s.size() + 1); }
+    void num(u64 v) { bytes(&v, sizeof(v)); }
+};
+
+/** Per-pipeline digests of the three analysis-layer reports. */
+struct ReportDigests
+{
+    u64 verify = 0;   ///< verifyDevice + per-vault verifyProgram text
+    u64 conflict = 0; ///< analyzeDeviceConflicts findings + stats
+    u64 estimate = 0; ///< estimateKernelCycles bit patterns
+
+    bool operator==(const ReportDigests &o) const = default;
+};
+
+ReportDigests
+reportDigests(const HardwareConfig &cfg, const CompiledPipeline &cp)
+{
+    Fnv verify, conflict, estimate;
+    for (const CompiledKernel &k : cp.kernels) {
+        verify.str(verifyDevice(cfg, k.perVault).toString());
+        for (size_t v = 0; v < k.perVault.size(); ++v)
+            verify.str(
+                verifyProgram(cfg, k.perVault[v], {}, int(v)).toString());
+
+        std::vector<ProgramAnalysis> pas;
+        pas.reserve(k.perVault.size());
+        std::vector<const ProgramAnalysis *> ptrs;
+        for (size_t v = 0; v < k.perVault.size(); ++v) {
+            pas.push_back(analyzeProgram(cfg, k.perVault[v],
+                                         int(v / cfg.vaultsPerCube),
+                                         int(v % cfg.vaultsPerCube)));
+            ptrs.push_back(&pas.back());
+        }
+        ConflictReport rep = analyzeDeviceConflicts(cfg, ptrs);
+        for (const ConflictFinding &f : rep.findings) {
+            conflict.num(u64(f.kind));
+            for (int x : {f.vault, f.index, f.otherVault, f.otherIndex,
+                          f.segment})
+                conflict.num(u64(i64(x)));
+            conflict.str(f.message);
+        }
+        conflict.num(rep.stats.pairsChecked);
+        conflict.num(rep.stats.provenDisjoint);
+        conflict.num(rep.stats.unproved);
+        conflict.num(rep.stats.segments);
+        conflict.num(rep.complete ? 1 : 0);
+
+        f64 cycles = estimateKernelCycles(cfg, k.perVault);
+        estimate.bytes(&cycles, sizeof(cycles));
+    }
+    return {verify.h, conflict.h, estimate.h};
+}
+
+void
+expectGoldenReports(const HardwareConfig &cfg,
+                    const std::vector<std::string> &names, int width,
+                    int height, const std::vector<ReportDigests> &golden)
+{
+    EXPECT_EQ(names.size(), golden.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+        BenchmarkApp app = makeBenchmark(names[i], width, height);
+        CompiledPipeline cp = compilePipeline(app.def, cfg);
+        ReportDigests d = reportDigests(cfg, cp);
+        EXPECT_TRUE(i < golden.size() && d == golden[i])
+            << names[i] << ": {0x" << std::hex << d.verify << "ull, 0x"
+            << d.conflict << "ull, 0x" << d.estimate << "ull}";
+    }
+}
+
+/**
+ * Golden analysis-layer reports: the verifier's diagnostics (order and
+ * warning caps included), the conflict analysis' findings and proof
+ * statistics, and the static cost estimates must stay byte-identical
+ * for the ten benchmarks at 64x32 on the tiny configuration.  A speed
+ * change to src/analysis or src/verify must not move any of them; an
+ * intended change re-pins the table and explains the drift.
+ */
+TEST(AnalysisDeterminism, GoldenReportDigestsTiny)
+{
+    expectGoldenReports(
+        HardwareConfig::tiny(), allBenchmarkNames(), 64, 32,
+        {{0xe4bc4fd9252be94full, 0xbfd802940c3142a6ull, 0x8bc8cfada7213b12ull},
+         {0xe4bc4fd9252be94full, 0x744d890a6d3a26c4ull, 0xb4bc216754f586f3ull},
+         {0xe4bc4fd9252be94full, 0xde59558ab33c4a18ull, 0xab7afd94ed83215dull},
+         {0xc6f6183a0ac9f355ull, 0x86d25fa9aef58e1eull, 0x864e01546af5197dull},
+         {0xe4bc4fd9252be94full, 0xbfd802940c3142a6ull, 0xa7a52dc3658afb98ull},
+         {0x4dbaeefabaf2da67ull, 0x7c48cf166f420a67ull, 0xe4f474e2317d90beull},
+         {0x23f572d6ebca52efull, 0x51f49359947c3f20ull, 0xbf7fbb4db015958full},
+         {0xa94cc2ee5c74a16full, 0xe3a7dc00ebb2b15bull, 0xf5ace93196fc88d2ull},
+         {0xc9094da30d611c23ull, 0xb4d9c6a6d9da8db9ull, 0xfb21535c77981b8bull},
+         {0x690229d31f699f79ull, 0x7f852d564a447a65ull,
+          0xc287df80bd605ec5ull}});
+}
+
+/** The same on one full cube with the four multi-stage apps at 96x48. */
+TEST(AnalysisDeterminism, GoldenReportDigestsFullCube)
+{
+    expectGoldenReports(HardwareConfig::benchCube(),
+                        {"Interpolate", "LocalLaplacian", "StencilChain",
+                         "BilateralGrid"},
+                        96, 48,
+                        {{0xcb96aac18c20759bull, 0x6faa9c4301e7b243ull,
+                          0x03d21134f4e93c33ull},
+                         {0x1a7008b5c37f0731ull, 0x592abe922d62efb4ull,
+                          0x0252a1e03ab43612ull},
+                         {0x9986ba9af2021da5ull, 0x4d0daeeba605e2a8ull,
+                          0xf0f25d607cac6ae8ull},
+                         {0x775dc835003650cfull, 0x255fa6b20e59bf76ull,
+                          0xcad1de04c602f775ull}});
 }
 
 } // namespace

@@ -35,6 +35,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -882,12 +883,14 @@ runExplainCommand(const Options &o)
     return 0;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/**
+ * Parse argv into @p o.  Returns false when --help printed the usage
+ * and there is nothing to run; a bad option or value throws, so main
+ * reports it like any other error.
+ */
+bool
+parseArgs(int argc, char **argv, Options &o)
 {
-    Options o;
     int first = 1;
     if (argc > 1 && std::strcmp(argv[1], "verify") == 0) {
         o.verifyCmd = true;
@@ -918,130 +921,147 @@ main(int argc, char **argv)
         o.width = 128;
         o.height = 64;
     }
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value after ", a);
-            return argv[++i];
-        };
-        if (a == "--list")
-            o.list = true;
-        else if (a == "--bench")
-            o.bench = next();
-        else if (a == "--width")
-            o.width = std::stoi(next());
-        else if (a == "--height")
-            o.height = std::stoi(next());
-        else if (a == "--cubes")
-            o.cubes = u32(std::stoul(next()));
-        else if (a == "--vaults")
-            o.vaults = u32(std::stoul(next()));
-        else if (a == "--pgs")
-            o.pgs = u32(std::stoul(next()));
-        else if (a == "--pes")
-            o.pes = u32(std::stoul(next()));
-        else if (a == "--ponb")
-            o.ponb = true;
-        else if (a == "--sched") {
-            // In serve mode --sched selects the request scheduler; for
-            // run/verify it selects the DRAM scheduling policy.
-            if (o.serveCmd)
-                o.servePolicy = next();
-            else
-                o.sched = next();
-        } else if (a == "--page")
-            o.page = next();
-        else if (a == "--opts")
-            o.opts = next();
-        else if (a == "--verify")
-            o.verify = true;
-        else if (a == "--all")
-            o.allBenches = true;
-        else if (a == "--werror")
-            o.werror = true;
-        else if (a == "--asm")
-            o.asmFile = next();
-        else if (a == "--dot")
-            o.dotPrefix = next();
-        else if (a == "--gpu")
-            o.gpu = true;
-        else if (a == "--dump-asm")
-            o.dumpAsm = true;
-        else if (a == "--json")
-            o.json = true;
-        else if (a == "--rate")
-            o.rate = std::stod(next());
-        else if (a == "--requests")
-            o.requests = u32(std::stoul(next()));
-        else if (a == "--seed")
-            o.seed = std::stoull(next());
-        else if (a == "--cubes-per-req")
-            o.cubesPerReq = u32(std::stoul(next()));
-        else if (a == "--devices")
-            o.fleetDevices = u32(std::stoul(next()));
-        else if (a == "--router")
-            o.routerPolicy = next();
-        else if (a == "--batch")
-            o.batch = true;
-        else if (a == "--max-batch")
-            o.maxBatch = u32(std::stoul(next()));
-        else if (a == "--batch-window")
-            o.batchWindow = std::stoull(next());
-        else if (a == "--no-preempt")
-            o.preempt = false;
-        else if (a == "--shed-p99-ms")
-            o.shedP99Ms = std::stod(next());
-        else if (a == "--tenants")
-            o.tenants = next();
-        else if (a == "--trace-shape")
-            o.traceShape = next();
-        else if (a == "--burst-duty")
-            o.burstDuty = std::stod(next());
-        else if (a == "--burst-on-ms")
-            o.burstOnMs = std::stod(next());
-        else if (a == "--diurnal-period-ms")
-            o.diurnalPeriodMs = std::stod(next());
-        else if (a == "--diurnal-amplitude")
-            o.diurnalAmplitude = std::stod(next());
-        else if (a == "--cache-cap")
-            o.cacheCap = u32(std::stoul(next()));
-        else if (a == "--launch-overhead")
-            o.launchOverhead = std::stoull(next());
-        else if (a == "--no-fast-forward")
-            o.fastForward = false;
-        else if (a == "--threads")
-            o.threads = u32(std::stoul(next()));
-        else if (a == "--backend")
-            o.backend = next();
-        else if (a == "--interval")
-            o.metricsInterval = std::stoull(next());
-        else if (a == "--prom")
-            o.promFile = next();
-        else if (a == "--trace")
-            o.traceFile = next();
-        else if (a == "--events")
-            o.eventsFile = next();
-        else if (a == "--metrics")
-            o.metricsFile = next();
-        else if (a == "--req")
-            o.explainReq = std::stoull(next());
-        else if (a == "--out")
-            o.traceOut = next();
-        else if (a == "--csv")
-            o.traceCsv = next();
-        else if (a == "--windows")
-            o.traceWindows = u32(std::stoul(next()));
-        else if (a == "--help" || a == "-h") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            fatal("unknown option ", a);
-        }
-    }
-
+    // std::stoi and friends throw std::invalid_argument/out_of_range
+    // (logic errors) on a malformed number; argv[i] is then its text.
+    int i = first;
     try {
+        for (; i < argc; ++i) {
+            std::string a = argv[i];
+            auto next = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    fatal("missing value after ", a);
+                return argv[++i];
+            };
+            if (a == "--list")
+                o.list = true;
+            else if (a == "--bench")
+                o.bench = next();
+            else if (a == "--width")
+                o.width = std::stoi(next());
+            else if (a == "--height")
+                o.height = std::stoi(next());
+            else if (a == "--cubes")
+                o.cubes = u32(std::stoul(next()));
+            else if (a == "--vaults")
+                o.vaults = u32(std::stoul(next()));
+            else if (a == "--pgs")
+                o.pgs = u32(std::stoul(next()));
+            else if (a == "--pes")
+                o.pes = u32(std::stoul(next()));
+            else if (a == "--ponb")
+                o.ponb = true;
+            else if (a == "--sched") {
+                // In serve mode --sched selects the request scheduler; for
+                // run/verify it selects the DRAM scheduling policy.
+                if (o.serveCmd)
+                    o.servePolicy = next();
+                else
+                    o.sched = next();
+            } else if (a == "--page")
+                o.page = next();
+            else if (a == "--opts")
+                o.opts = next();
+            else if (a == "--verify")
+                o.verify = true;
+            else if (a == "--all")
+                o.allBenches = true;
+            else if (a == "--werror")
+                o.werror = true;
+            else if (a == "--asm")
+                o.asmFile = next();
+            else if (a == "--dot")
+                o.dotPrefix = next();
+            else if (a == "--gpu")
+                o.gpu = true;
+            else if (a == "--dump-asm")
+                o.dumpAsm = true;
+            else if (a == "--json")
+                o.json = true;
+            else if (a == "--rate")
+                o.rate = std::stod(next());
+            else if (a == "--requests")
+                o.requests = u32(std::stoul(next()));
+            else if (a == "--seed")
+                o.seed = std::stoull(next());
+            else if (a == "--cubes-per-req")
+                o.cubesPerReq = u32(std::stoul(next()));
+            else if (a == "--devices")
+                o.fleetDevices = u32(std::stoul(next()));
+            else if (a == "--router")
+                o.routerPolicy = next();
+            else if (a == "--batch")
+                o.batch = true;
+            else if (a == "--max-batch")
+                o.maxBatch = u32(std::stoul(next()));
+            else if (a == "--batch-window")
+                o.batchWindow = std::stoull(next());
+            else if (a == "--no-preempt")
+                o.preempt = false;
+            else if (a == "--shed-p99-ms")
+                o.shedP99Ms = std::stod(next());
+            else if (a == "--tenants")
+                o.tenants = next();
+            else if (a == "--trace-shape")
+                o.traceShape = next();
+            else if (a == "--burst-duty")
+                o.burstDuty = std::stod(next());
+            else if (a == "--burst-on-ms")
+                o.burstOnMs = std::stod(next());
+            else if (a == "--diurnal-period-ms")
+                o.diurnalPeriodMs = std::stod(next());
+            else if (a == "--diurnal-amplitude")
+                o.diurnalAmplitude = std::stod(next());
+            else if (a == "--cache-cap")
+                o.cacheCap = u32(std::stoul(next()));
+            else if (a == "--launch-overhead")
+                o.launchOverhead = std::stoull(next());
+            else if (a == "--no-fast-forward")
+                o.fastForward = false;
+            else if (a == "--threads")
+                o.threads = u32(std::stoul(next()));
+            else if (a == "--backend")
+                o.backend = next();
+            else if (a == "--interval")
+                o.metricsInterval = std::stoull(next());
+            else if (a == "--prom")
+                o.promFile = next();
+            else if (a == "--trace")
+                o.traceFile = next();
+            else if (a == "--events")
+                o.eventsFile = next();
+            else if (a == "--metrics")
+                o.metricsFile = next();
+            else if (a == "--req")
+                o.explainReq = std::stoull(next());
+            else if (a == "--out")
+                o.traceOut = next();
+            else if (a == "--csv")
+                o.traceCsv = next();
+            else if (a == "--windows")
+                o.traceWindows = u32(std::stoul(next()));
+            else if (a == "--help" || a == "-h") {
+                usage();
+                return false;
+            } else {
+                usage();
+                fatal("unknown option ", a);
+            }
+        }
+    } catch (const std::logic_error &) {
+        fatal("bad value '", argv[i], "' for ", argv[i - 1]);
+    }
+    return true;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    Options o;
+    try {
+        if (!parseArgs(argc, argv, o))
+            return 0;
         if (o.list) {
             for (const std::string &n : allBenchmarkNames())
                 std::printf("%s\n", n.c_str());
