@@ -131,6 +131,8 @@ Cube::beginRun(Cycle now, bool fastForward, bool lazy)
     lazy_ = fastForward && lazy;
     std::fill(wake_.begin(), wake_.end(), now);
     std::fill(from_.begin(), from_.end(), now);
+    for (auto &vault : vaults_)
+        vault->beginRun(now, lazy_);
 }
 
 void

@@ -145,8 +145,38 @@ Device::runCubeQuantum(u32 c, Cycle from, Cycle to, bool mustTick)
         return;
     }
 
+    // Per-cube fast-forward: the cube is a closed system until the next
+    // barrier, so its own nextEventAt() bounds each jump.  Trace sample
+    // boundaries still cap it — boundary cycles are ticked densely so
+    // counter samples land on exactly the cycles dense ticking produces.
+    // The quantum's first cycle is skippable too, unless it must tick.
     Cycle t = from;
+    bool forceTick = mustTick;
     while (true) {
+        if (fastForward_ && !forceTick) {
+            Cycle e = std::min(cube.nextEventAt(t), to);
+            if (traced) {
+                Cycle rem = t % interval;
+                e = std::min(e, rem == 0 ? t : t + (interval - rem));
+            }
+            if (e > t) {
+                // Crediting performs the stall-span transitions a dense
+                // tick of cycle t would have (Vault::creditSkipped);
+                // stamp the shard so those events merge at the cycle
+                // dense mode emits them.
+                if (traced)
+                    shard->setRecordCycle(t);
+                cube.creditSkipped(t, e - t);
+                cx.jumpCycles += e - t;
+                ++cx.jumps;
+                t = e;
+                if (t >= to) {
+                    cx.idleFrom = to;
+                    return;
+                }
+            }
+        }
+        forceTick = false;
         if (traced)
             shard->setRecordCycle(t);
         cube.tick(t);
@@ -169,33 +199,6 @@ Device::runCubeQuantum(u32 c, Cycle from, Cycle to, bool mustTick)
             cx.idleFrom = t;
             return;
         }
-        if (t >= to) {
-            cx.idleFrom = to;
-            return;
-        }
-        if (!fastForward_)
-            continue;
-        // Per-cube fast-forward inside the quantum: the cube is a closed
-        // system until the next barrier, so its own nextEventAt() bounds
-        // the jump.  Trace sample boundaries still cap it — boundary
-        // cycles are ticked densely so counter samples land on exactly
-        // the cycles dense ticking produces.
-        Cycle e = std::min(cube.nextEventAt(t), to);
-        if (traced) {
-            Cycle rem = t % interval;
-            e = std::min(e, rem == 0 ? t : t + (interval - rem));
-        }
-        if (e <= t)
-            continue;
-        // Crediting performs the stall-span transitions a dense tick of
-        // cycle t would have (Vault::creditSkipped); stamp the shard so
-        // those events merge at the cycle dense mode emits them.
-        if (traced)
-            shard->setRecordCycle(t);
-        cube.creditSkipped(t, e - t);
-        cx.jumpCycles += e - t;
-        ++cx.jumps;
-        t = e;
         if (t >= to) {
             cx.idleFrom = to;
             return;

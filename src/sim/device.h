@@ -205,8 +205,8 @@ class Device
 
     /** Simulate cube @p c over [@p from, @p to) into cubeCtx_[c]
      *  (worker body; see run()).  @p mustTick forces a tick at @p from
-     *  even when the cube looks idle (first quantum of a run, or
-     *  deliveries pending), matching the sequential loop. */
+     *  even when the cube looks idle or has no event due (first quantum
+     *  of a run, or deliveries pending), matching the sequential loop. */
     void runCubeQuantum(u32 c, Cycle from, Cycle to, bool mustTick);
 
     /** Catch cube @p c (idle since cubeCtx_[c].idleFrom) up to @p to at

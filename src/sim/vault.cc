@@ -1,6 +1,7 @@
 #include "sim/vault.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/logging.h"
@@ -10,13 +11,45 @@
 
 namespace ipim {
 
+namespace {
+
+/**
+ * Counter keys charged on every stalled or issuing tick, built once:
+ * the per-category keys would otherwise be concatenated, and the names
+ * longer than the inline string buffer heap-allocated, on each tick.
+ */
+struct CounterKeys
+{
+    static constexpr size_t kCategories = size_t(InstCategory::kPseudo) + 1;
+
+    std::string barrierStall = "core.barrierStall";
+    std::string structStall = "core.structStall";
+    std::string hazardStall = "core.hazardStall";
+    std::array<std::string, kCategories> inst;  ///< "inst.<category>"
+    std::array<std::string, kCategories> stall; ///< "stall.<category>"
+
+    CounterKeys()
+    {
+        for (size_t c = 0; c < kCategories; ++c) {
+            const char *name = categoryName(InstCategory(c));
+            inst[c] = std::string("inst.") + name;
+            stall[c] = std::string("stall.") + name;
+        }
+    }
+};
+
+const CounterKeys kKeys;
+
+} // namespace
+
 Vault::Vault(const HardwareConfig &cfg, u32 chipId, u32 vaultId,
              StatsRegistry *stats, Tracer *trace,
              const std::string &tracePrefix)
     : cfg_(cfg), chipId_(chipId), vaultId_(vaultId), stats_(stats),
       trace_(trace),
       actLimiter_(std::make_unique<ActivationLimiter>(cfg.timing)),
-      vsm_(cfg.vsmBytes), crf_(cfg.ctrlRfEntries, 0)
+      pgWake_(cfg.pgsPerVault, 0), vsm_(cfg.vsmBytes),
+      crf_(cfg.ctrlRfEntries, 0)
 {
     if (trace_ != nullptr) {
         trackCore_ = trace_->track(tracePrefix + "core");
@@ -131,7 +164,7 @@ Vault::deliver(const Packet &p)
 }
 
 void
-Vault::serviceRemoteInbox()
+Vault::serviceRemoteInbox(Cycle now)
 {
     while (!remoteInbox_.empty()) {
         const Packet &p = remoteInbox_.front();
@@ -144,28 +177,27 @@ Vault::serviceRemoteInbox()
         info.vsmAddr = p.vsmAddr;
         if (!pgs_[p.pg]->submitRemoteRead(p.pe, p.dramAddr, info))
             break; // MC full; retry next cycle, preserving order
+        pgWake_[p.pg] = now; // the PG's MC has a new request this cycle
         remoteInbox_.pop_front();
     }
 }
 
 void
-Vault::collectRemoteCompletions()
+Vault::collectRemoteCompletions(ProcessGroup &pg)
 {
-    for (auto &pg : pgs_) {
-        for (const RemoteReadDone &d : pg->remoteDone()) {
-            Packet resp;
-            resp.kind = PacketKind::kReqResponse;
-            resp.srcChip = chipId_;
-            resp.srcVault = vaultId_;
-            resp.dstChip = d.srcChip;
-            resp.dstVault = d.srcVault;
-            resp.tag = d.tag;
-            resp.vsmAddr = d.vsmAddr;
-            resp.data = d.data;
-            outbox_.push_back(resp);
-        }
-        pg->remoteDone().clear();
+    for (const RemoteReadDone &d : pg.remoteDone()) {
+        Packet resp;
+        resp.kind = PacketKind::kReqResponse;
+        resp.srcChip = chipId_;
+        resp.srcVault = vaultId_;
+        resp.dstChip = d.srcChip;
+        resp.dstVault = d.srcVault;
+        resp.tag = d.tag;
+        resp.vsmAddr = d.vsmAddr;
+        resp.data = d.data;
+        outbox_.push_back(resp);
     }
+    pg.remoteDone().clear();
 }
 
 void
@@ -196,8 +228,10 @@ Vault::issueBroadcast(Cycle now, const Instruction &inst,
     for (u32 b = 0; b < numPes(); ++b) {
         if (!(mask & (1u << b)))
             continue;
-        pgs_[b / cfg_.pesPerPg]->pe(b % cfg_.pesPerPg)
-            .push(fi.get(), arrives);
+        u32 g = b / cfg_.pesPerPg;
+        pgs_[g]->pe(b % cfg_.pesPerPg).push(fi.get(), arrives);
+        // The PE can start it no earlier than its arrival.
+        pgWake_[g] = std::min(pgWake_[g], arrives);
     }
     iiq_.push_back(std::move(fi));
 }
@@ -285,7 +319,7 @@ Vault::issueStep(Cycle now)
         noteStall(now, StallReason::kBranch);
         return;
       case IssueOutcome::kBarrier:
-        stats_->inc("core.barrierStall");
+        stats_->inc(kKeys.barrierStall);
         ++acct_.barrier;
         noteStall(now, StallReason::kBarrier);
         return;
@@ -295,14 +329,13 @@ Vault::issueStep(Cycle now)
         noteStall(now, StallReason::kDrain);
         return;
       case IssueOutcome::kStruct:
-        stats_->inc("core.structStall");
+        stats_->inc(kKeys.structStall);
         ++acct_.structStall;
         noteStall(now, StallReason::kStruct);
         return;
       case IssueOutcome::kHazard:
-        stats_->inc("core.hazardStall");
-        stats_->inc(std::string("stall.") +
-                    categoryName(prog_[pc_].category()));
+        stats_->inc(kKeys.hazardStall);
+        stats_->inc(kKeys.stall[size_t(prog_[pc_].category())]);
         ++acct_.hazard;
         noteStall(now, StallReason::kHazard);
         return;
@@ -314,7 +347,7 @@ Vault::issueStep(Cycle now)
     const AccessSet &acc = progAccess_[pc_];
 
     stats_->inc("core.issued");
-    stats_->inc(std::string("inst.") + categoryName(inst.category()));
+    stats_->inc(kKeys.inst[size_t(inst.category())]);
     ++acct_.issued;
     noteStall(now, StallReason::kNone);
 
@@ -520,10 +553,19 @@ Vault::tick(Cycle now)
     ++acct_.cycles;
     if (Tracer::sampleDue(trace_, now))
         sampleTrace(now);
-    serviceRemoteInbox();
-    for (auto &pg : pgs_)
-        pg->tick(now);
-    collectRemoteCompletions();
+    serviceRemoteInbox(now);
+    // Lazy PG ticking (DESIGN.md Sec. 13): a PG with no event due would
+    // change nothing this cycle, so it is skipped.  A ticked PG caches
+    // its next wake once its remote-read results are collected.
+    for (u32 g = 0; g < pgs_.size(); ++g) {
+        if (lazyPgs_ && pgWake_[g] > now)
+            continue;
+        ProcessGroup &pg = *pgs_[g];
+        pg.tick(now);
+        collectRemoteCompletions(pg);
+        if (lazyPgs_)
+            pgWake_[g] = pg.nextEventAt(now + 1);
+    }
     retireStep();
     issueStep(now);
     masterSyncCheck();
@@ -553,9 +595,21 @@ Vault::nextEventAt(Cycle now) const
       default:
         break;
     }
+    if (lazyPgs_) {
+        for (Cycle w : pgWake_)
+            e = std::min(e, std::max(now, w));
+        return e;
+    }
     for (const auto &pg : pgs_)
         e = std::min(e, pg->nextEventAt(now));
     return e;
+}
+
+void
+Vault::beginRun(Cycle now, bool lazy)
+{
+    lazyPgs_ = lazy;
+    std::fill(pgWake_.begin(), pgWake_.end(), now);
 }
 
 void
@@ -576,7 +630,7 @@ Vault::creditSkipped(Cycle from, u64 skipped)
         noteStall(from, StallReason::kBranch);
         return;
       case IssueOutcome::kBarrier:
-        stats_->inc("core.barrierStall", f64(skipped));
+        stats_->inc(kKeys.barrierStall, f64(skipped));
         acct_.barrier += skipped;
         noteStall(from, StallReason::kBarrier);
         return;
@@ -586,14 +640,13 @@ Vault::creditSkipped(Cycle from, u64 skipped)
         noteStall(from, StallReason::kDrain);
         return;
       case IssueOutcome::kStruct:
-        stats_->inc("core.structStall", f64(skipped));
+        stats_->inc(kKeys.structStall, f64(skipped));
         acct_.structStall += skipped;
         noteStall(from, StallReason::kStruct);
         return;
       case IssueOutcome::kHazard:
-        stats_->inc("core.hazardStall", f64(skipped));
-        stats_->inc(std::string("stall.") +
-                        categoryName(prog_[pc_].category()),
+        stats_->inc(kKeys.hazardStall, f64(skipped));
+        stats_->inc(kKeys.stall[size_t(prog_[pc_].category())],
                     f64(skipped));
         acct_.hazard += skipped;
         noteStall(from, StallReason::kHazard);

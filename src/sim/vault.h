@@ -94,16 +94,27 @@ class Vault
     /** Deliver an incoming network packet to the NIC. */
     void deliver(const Packet &p);
 
-    /** Advance one cycle. */
+    /**
+     * Advance one cycle.  Under lazy PG ticking (beginRun) only the
+     * process groups whose cached wake cycle has come are ticked.
+     */
     void tick(Cycle now);
+
+    /**
+     * Start a Device::run() at @p now (DESIGN.md Sec. 13): every process
+     * group is due at @p now.  With @p lazy, tick() skips the PGs with
+     * no event due and nextEventAt() reads their cached wake cycles;
+     * without it every PG ticks on every vault tick.
+     */
+    void beginRun(Cycle now, bool lazy);
 
     /**
      * Earliest future cycle this vault can change state (DESIGN.md
      * Sec. 13): @p now when NIC traffic is undrained, the IIQ head is
      * retirable, or the core can issue; the branch-bubble expiry
      * `stallUntil_` while a taken branch is in flight; otherwise the
-     * min over the process groups.  Conservative (early) is allowed,
-     * late is not.
+     * min over the process groups (their cached wake cycles under lazy
+     * PG ticking).  Conservative (early) is allowed, late is not.
      */
     Cycle nextEventAt(Cycle now) const;
 
@@ -186,9 +197,8 @@ class Vault
     void validateProgram(const std::vector<Instruction> &prog) const;
     void noteStall(Cycle now, StallReason reason);
     void sampleTrace(Cycle now);
-    void processIncoming(Cycle now);
-    void serviceRemoteInbox();
-    void collectRemoteCompletions();
+    void serviceRemoteInbox(Cycle now);
+    void collectRemoteCompletions(ProcessGroup &pg);
     void retireStep();
     void issueStep(Cycle now);
     void issueBroadcast(Cycle now, const Instruction &inst,
@@ -214,6 +224,16 @@ class Vault
 
     std::unique_ptr<ActivationLimiter> actLimiter_;
     std::vector<std::unique_ptr<ProcessGroup>> pgs_;
+    /**
+     * Lazy PG ticking (beginRun): per PG, a lower bound on the first
+     * cycle its tick can change state.  Cached after each of its ticks
+     * and lowered whenever work enters it (a broadcast or a remote
+     * read).  Siblings share the ActivationLimiter and the TSV bus, but
+     * a sibling's ACT can only postpone this PG's next ACT and TSV
+     * slots are fixed at acquire time, so the bound stays valid.
+     */
+    std::vector<Cycle> pgWake_;
+    bool lazyPgs_ = false;
     Scratchpad vsm_;
     TsvBus tsv_;
 

@@ -178,7 +178,33 @@ TEST(FastForward, RefreshOnlyWakeupBitExact)
     EXPECT_EQ(stats[0], stats[1]);
 }
 
-/** Dense and fast-forward observables of one run() of @p progs. */
+constexpr u32 kSeededBytes = 96 * 1024;
+constexpr u16 kDumpedDrfs = 8;
+
+/** Flat index of PE (@p c, @p v, @p g, @p pe) on a device of @p cfg. */
+u32
+peIndex(const HardwareConfig &cfg, u32 c, u32 v, u32 g, u32 pe)
+{
+    return ((c * cfg.vaultsPerCube + v) * cfg.pgsPerVault + g) *
+               cfg.pesPerPg +
+           pe;
+}
+
+/** The word runPrograms seeds at @p bankAddr, lane @p lane of a PE. */
+u32
+seededWord(const HardwareConfig &cfg, u32 c, u32 v, u32 g, u32 pe,
+           u32 bankAddr, u32 lane)
+{
+    u32 vec = peIndex(cfg, c, v, g, pe) * (kSeededBytes / kVectorBytes) +
+              bankAddr / kVectorBytes;
+    return vec * kSimdLanes + lane + 1;
+}
+
+/**
+ * Every observable of one run() of @p progs: cycles, stats text, issue
+ * accounting, Chrome trace bytes (when traced), and the first DRF
+ * entries of every PE (the data the program loaded and computed).
+ */
 struct ModeRun
 {
     Cycle cycles = 0;
@@ -186,25 +212,65 @@ struct ModeRun
     std::vector<IssueAccounting> acct; ///< per vault, chip-major
     f64 refreshes = 0;
     u64 jumps = 0;
+    std::string trace;
+    std::vector<u32> drf;
+
+    /** Lane @p lane of DRF entry @p d of one PE after the run. */
+    u32
+    drfLane(const HardwareConfig &cfg, u32 c, u32 v, u32 g, u32 pe, u16 d,
+            u32 lane) const
+    {
+        return drf.at((peIndex(cfg, c, v, g, pe) * kDumpedDrfs + d) *
+                          kSimdLanes +
+                      lane);
+    }
 };
 
+/** Runs @p progs over banks seeded with distinct words (seededWord). */
 ModeRun
 runPrograms(const HardwareConfig &cfg,
             const std::vector<std::vector<Instruction>> &progs,
-            bool fastForward, u32 threads)
+            bool fastForward, u32 threads, bool traced = false)
 {
-    Device dev(cfg);
+    Tracer tr;
+    tr.setEnabled(traced);
+    Device dev(cfg, traced ? &tr : nullptr);
     dev.setFastForward(fastForward);
     dev.setThreads(threads);
     dev.loadPrograms(progs);
+    u32 word = 1;
+    for (u32 c = 0; c < cfg.cubes; ++c)
+        for (u32 v = 0; v < cfg.vaultsPerCube; ++v)
+            for (u32 g = 0; g < cfg.pgsPerVault; ++g)
+                for (u32 pe = 0; pe < cfg.pesPerPg; ++pe)
+                    for (u32 a = 0; a < kSeededBytes; a += kVectorBytes) {
+                        VecWord w;
+                        for (u32 &lane : w.lanes)
+                            lane = word++;
+                        dev.vault(c, v).pg(g).mc().storage(pe).writeVec(a, w);
+                    }
+
     ModeRun r;
     r.cycles = dev.run();
     r.stats = dev.stats().toString();
-    for (u32 c = 0; c < cfg.cubes; ++c)
-        for (u32 v = 0; v < cfg.vaultsPerCube; ++v)
-            r.acct.push_back(dev.vault(c, v).accounting());
+    for (u32 c = 0; c < cfg.cubes; ++c) {
+        for (u32 v = 0; v < cfg.vaultsPerCube; ++v) {
+            Vault &vault = dev.vault(c, v);
+            r.acct.push_back(vault.accounting());
+            for (u32 g = 0; g < cfg.pgsPerVault; ++g)
+                for (u32 pe = 0; pe < cfg.pesPerPg; ++pe)
+                    for (u16 d = 0; d < kDumpedDrfs; ++d)
+                        for (u32 lane : vault.pg(g).pe(pe).drf(d).lanes)
+                            r.drf.push_back(lane);
+        }
+    }
     r.refreshes = dev.stats().get("dram.ref");
     r.jumps = dev.ffwdJumps();
+    if (traced) {
+        std::ostringstream os;
+        tr.exportChromeJson(os);
+        r.trace = os.str();
+    }
     return r;
 }
 
@@ -368,6 +434,200 @@ TEST(FastForward, LazyWakeHistogramBitExact)
                 ASSERT_EQ(f32AsLane(dense.output.at(x, y)),
                           f32AsLane(ff.output.at(x, y)))
                     << "pixel (" << x << "," << y << ")";
+    }
+}
+
+/**
+ * Dense, fast-forward, and fast-forward on two threads agree on every
+ * observable, untraced (where PGs with no event due are skipped) and
+ * traced (where every PG ticks).  Returns the untraced dense run.
+ */
+ModeRun
+expectAllModesBitExact(const HardwareConfig &cfg,
+                       const std::vector<std::vector<Instruction>> &progs)
+{
+    ModeRun untracedDense;
+    for (bool traced : {false, true}) {
+        SCOPED_TRACE(traced ? "traced" : "untraced");
+        ModeRun dense = runPrograms(cfg, progs, false, 1, traced);
+        for (u32 threads : {1u, 2u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            ModeRun ff = runPrograms(cfg, progs, true, threads, traced);
+            EXPECT_EQ(ff.cycles, dense.cycles);
+            EXPECT_EQ(ff.stats, dense.stats);
+            EXPECT_EQ(ff.trace, dense.trace);
+            EXPECT_EQ(ff.drf, dense.drf);
+            expectSameAccounting(ff.acct, dense.acct);
+        }
+        if (traced)
+            EXPECT_FALSE(dense.trace.empty());
+        else
+            untracedDense = dense;
+    }
+    return untracedDense;
+}
+
+/** SIMB mask of every PE in process group @p g. */
+u32
+pgMask(const HardwareConfig &cfg, u32 g)
+{
+    return ((1u << cfg.pesPerPg) - 1) << (g * cfg.pesPerPg);
+}
+
+/**
+ * A loop body that loads one vector per PE of @p mask from a new row
+ * each iteration (A<4+r> walks the bank a row plus a column at a time)
+ * and accumulates it: d<r+1> += d<r>.  Bodies with different @p r share
+ * no register, so the core issues them without hazards between them.
+ */
+std::vector<Instruction>
+streamRows(const HardwareConfig &cfg, u32 mask, u16 r = 1)
+{
+    u16 arf = u16(4 + r);
+    return {Instruction::memRf(false, MemOperand::viaArf(arf), r, mask),
+            Instruction::comp(AluOp::kAdd, DType::kI32, CompMode::kVecVec,
+                              u16(r + 1), u16(r + 1), r, kFullVecMask,
+                              mask),
+            Instruction::calcArfImm(AluOp::kAdd, arf, arf,
+                                    i32(cfg.dramRowBytes + kVectorBytes),
+                                    mask)};
+}
+
+/** A 2-cube device with 4 PGs per vault, so most PGs of a vault idle. */
+HardwareConfig
+fourPgConfig()
+{
+    HardwareConfig cfg = HardwareConfig::tiny();
+    cfg.cubes = 2;
+    cfg.pgsPerVault = 4;
+    return cfg;
+}
+
+/**
+ * Per-PG skipping (DESIGN.md Sec. 13): PG 0 streams row-missing bank
+ * loads while its three siblings idle with nothing due.  Mid-stream the
+ * siblings receive a broadcast (a load into d3 and an add), which must
+ * make them due again while PG 0's loads are still in flight.
+ */
+TEST(FastForward, PgSkipSiblingsWokenByBroadcastBitExact)
+{
+    HardwareConfig cfg = fourPgConfig();
+    u32 siblings = pgMask(cfg, 1) | pgMask(cfg, 2) | pgMask(cfg, 3);
+
+    std::vector<Instruction> p;
+    emitLoop(p, 20, streamRows(cfg, pgMask(cfg, 0)));
+    p.push_back(Instruction::memRf(false, MemOperand::direct(512), 3,
+                                   siblings));
+    p.push_back(Instruction::comp(AluOp::kAdd, DType::kI32,
+                                  CompMode::kVecVec, 3, 3, 3, kFullVecMask,
+                                  siblings));
+    emitLoop(p, 20, streamRows(cfg, pgMask(cfg, 0)));
+    p.push_back(Instruction::halt());
+    std::vector<std::vector<Instruction>> progs(
+        cfg.cubes * cfg.vaultsPerCube, {Instruction::halt()});
+    progs[1] = p;
+    progs[cfg.vaultsPerCube + 2] = p;
+
+    ModeRun dense = expectAllModesBitExact(cfg, progs);
+    for (u32 g = 1; g < cfg.pgsPerVault; ++g)
+        for (u32 pe = 0; pe < cfg.pesPerPg; ++pe)
+            for (u32 l = 0; l < kSimdLanes; ++l)
+                EXPECT_EQ(dense.drfLane(cfg, 0, 1, g, pe, 3, l),
+                          2 * seededWord(cfg, 0, 1, g, pe, 512, l));
+}
+
+/**
+ * Two PGs of one vault share the vault's ActivationLimiter: each loop
+ * iteration opens a new row in all four banks of PGs 0 and 1, whose
+ * streams share no register and so run side by side, and a widened
+ * tFAW lets only four of those ACTs into a window.  A PG whose cached
+ * wake was computed before a sibling's ACT wakes early, finds the ACT
+ * still illegal, and re-caches a later wake; the run must still match
+ * dense ticking.
+ */
+TEST(FastForward, PgSkipSharedActivationWindowBitExact)
+{
+    HardwareConfig cfg = fourPgConfig();
+    cfg.timing.tFAW = 64;
+    u32 both = pgMask(cfg, 0) | pgMask(cfg, 1);
+
+    // Interleaved, so the in-order core has both PGs' loads in flight
+    // before either accumulate blocks it.
+    std::vector<Instruction> pg0 = streamRows(cfg, pgMask(cfg, 0), 1);
+    std::vector<Instruction> pg1 = streamRows(cfg, pgMask(cfg, 1), 5);
+    std::vector<Instruction> body;
+    for (size_t i = 0; i < pg0.size(); ++i) {
+        body.push_back(pg0[i]);
+        body.push_back(pg1[i]);
+    }
+    std::vector<Instruction> p;
+    emitLoop(p, 16, body);
+    p.push_back(Instruction::comp(AluOp::kAdd, DType::kI32,
+                                  CompMode::kVecVec, 2, 2, 6, kFullVecMask,
+                                  both));
+    p.push_back(Instruction::halt());
+    std::vector<std::vector<Instruction>> progs(
+        cfg.cubes * cfg.vaultsPerCube, {Instruction::halt()});
+    progs[0] = p;
+    progs[cfg.vaultsPerCube + 3] = p;
+
+    ModeRun dense = expectAllModesBitExact(cfg, progs);
+    for (u32 g = 0; g < 2; ++g) {
+        for (u32 pe = 0; pe < cfg.pesPerPg; ++pe) {
+            for (u32 l = 0; l < kSimdLanes; ++l) {
+                u32 sum = 0;
+                for (u32 i = 0; i < 16; ++i)
+                    sum += seededWord(cfg, 0, 0, g, pe,
+                                      i * (cfg.dramRowBytes + kVectorBytes),
+                                      l);
+                EXPECT_EQ(dense.drfLane(cfg, 0, 0, g, pe, 2, l), sum);
+            }
+        }
+    }
+    // Each vault opens 16 x 4 rows, at most four per tFAW window.
+    const u64 actsPerVault = 16 * 4;
+    EXPECT_NE(dense.stats.find("dram.act = 128\n"), std::string::npos)
+        << dense.stats;
+    EXPECT_GE(dense.cycles, (actsPerVault / 4 - 1) * cfg.timing.tFAW);
+}
+
+/**
+ * A remote read lands on an otherwise idle PG: while vault 1.2 streams
+ * on PG 0 only, vault 0.1 reads a word of PG 3 PE 1 there (over SERDES)
+ * and vault 1.0 reads one of PG 2 PE 0 (over the mesh).  Each requester
+ * then moves the staged word into a DRF, so the data is compared too.
+ */
+TEST(FastForward, PgSkipRemoteReqWakesIdlePgBitExact)
+{
+    HardwareConfig cfg = fourPgConfig();
+    u32 all = (1u << cfg.pesPerVault()) - 1;
+
+    std::vector<Instruction> target;
+    emitLoop(target, 24, streamRows(cfg, pgMask(cfg, 0)));
+    target.push_back(Instruction::halt());
+
+    auto requester = [&](u16 pg, u16 pe, u32 bankAddr) {
+        std::vector<Instruction> p;
+        emitLoop(p, 6, {rawMac(all)});
+        p.push_back(Instruction::req(1, 2, pg, pe,
+                                     MemOperand::direct(bankAddr), 64));
+        p.push_back(Instruction::vsmRf(true, MemOperand::direct(64), 5, all));
+        p.push_back(Instruction::halt());
+        return p;
+    };
+
+    std::vector<std::vector<Instruction>> progs(
+        cfg.cubes * cfg.vaultsPerCube, {Instruction::halt()});
+    progs[cfg.vaultsPerCube + 2] = target;
+    progs[1] = requester(3, 1, 4096);
+    progs[cfg.vaultsPerCube + 0] = requester(2, 0, 8192 + 32);
+
+    ModeRun dense = expectAllModesBitExact(cfg, progs);
+    for (u32 l = 0; l < kSimdLanes; ++l) {
+        EXPECT_EQ(dense.drfLane(cfg, 0, 1, 1, 1, 5, l),
+                  seededWord(cfg, 1, 2, 3, 1, 4096, l));
+        EXPECT_EQ(dense.drfLane(cfg, 1, 0, 2, 0, 5, l),
+                  seededWord(cfg, 1, 2, 2, 0, 8192 + 32, l));
     }
 }
 
